@@ -2,7 +2,8 @@
 
 Subcommands exchange polygon/report JSON on stdin/stdout and render SVG
 figures to files.  Exit codes: 0 success / all checks pass, 1 verification
-failure, 2 usage or degenerate-input error.
+failure, 2 usage, malformed or degenerate input, or an unwritable output
+file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import re
 import sys
 
-from .errors import GeometryError
+from .errors import GeometryError, MalformedInput
 from .group import act_on_discrete, from_angle
 from .kernel import Point
 from .polygon import grid_layer, negative_pedal, synthesize
@@ -44,8 +45,15 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
+def _read_object(stream) -> dict:
+    obj = json.loads(stream.read())
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"expected a JSON object on stdin, got {type(obj).__name__}")
+    return obj
+
+
 def _read_polygon(stream) -> "DiscreteConic":
-    return polygon_from_dict(json.loads(stream.read()))
+    return polygon_from_dict(_read_object(stream))
 
 
 def _emit(obj) -> None:
@@ -113,7 +121,7 @@ def main(argv=None) -> int:
             if not all(r.passed for r in reports):
                 return 1
         elif args.command == "render":
-            obj = json.loads(sys.stdin.read())
+            obj = _read_object(sys.stdin)
             if "vertices" in obj:
                 poly = polygon_from_dict(obj)
                 scene = Scene(
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(svg)
         return 0
-    except (GeometryError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (GeometryError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from .errors import (
     LineThroughCenter,
 )
 from .kernel import DEGENERACY_EPS, Line, Point, distance, foot_perpendicular
-from .pencil import Circle, FocalConic, fit_circle, pedal_circle
+from .pencil import Circle, FocalConic, _sampled_tangents, fit_circle, tangent_at
 
 
 @dataclass(frozen=True)
@@ -80,36 +80,30 @@ def dual_conic(
     The poles of sampled tangent lines are fitted to a circle; the fit
     residual is itself a correctness check.  Tangents through the center
     (measure zero) are skipped and replaced by a nearby sample.  When
-    require_focus_inside is set and the focus lands outside the fitted
-    circle, the inversion radius is halved up to 8 times before giving up;
-    with a hyperbola member the focus stays outside for every radius, so
-    pass require_focus_inside=False to accept that configuration.
+    require_focus_inside is set and the focus lies outside the fitted
+    circle, FocusOutsideDual is raised.  Changing the inversion radius k is
+    a homothety about the focus, so no other radius could put it inside:
+    with a hyperbola member the focus is always outside, so pass
+    require_focus_inside=False to accept that configuration.
     """
     if distance(r.center, c.focus) > 1e-9:
         raise CenterNotFocus(f"reciprocation center {r.center} is not the focus {c.focus}")
-    from .pencil import _sampled_tangents  # tangent sampling shared with pedal_circle
-
-    recip = r
-    for _ in range(9):
-        poles = []
-        for alpha, line in _sampled_tangents(c, samples):
-            for _ in range(4):
-                try:
-                    poles.append(pole_of(recip, line))
-                    break
-                except LineThroughCenter:
-                    from .pencil import tangent_at
-
-                    alpha += 1e-6
-                    line = tangent_at(c, alpha)
-        circ = fit_circle(poles)
-        dev = max(
-            abs(math.hypot(p.x - circ.center.x, p.y - circ.center.y) - circ.radius)
-            for p in poles
-        )
-        if dev > tol * max(1.0, circ.radius):
-            raise ValueError(f"tangent poles deviate from a circle by {dev}")
-        if not require_focus_inside or distance(r.center, circ.center) < circ.radius:
-            return circ
-        recip = Reciprocator(r.center, recip.k / 2.0)
-    raise FocusOutsideDual("focus outside the dual circle for every tried radius")
+    poles = []
+    for alpha, line in _sampled_tangents(c, samples):
+        for _ in range(4):
+            try:
+                poles.append(pole_of(r, line))
+                break
+            except LineThroughCenter:
+                alpha += 1e-6
+                line = tangent_at(c, alpha)
+    circ = fit_circle(poles)
+    dev = max(
+        abs(math.hypot(p.x - circ.center.x, p.y - circ.center.y) - circ.radius)
+        for p in poles
+    )
+    if dev > tol * max(1.0, circ.radius):
+        raise ValueError(f"tangent poles deviate from a circle by {dev}")
+    if require_focus_inside and distance(r.center, circ.center) >= circ.radius:
+        raise FocusOutsideDual("focus outside the dual circle")
+    return circ

@@ -58,7 +58,7 @@ class CenterNotFocus(GeometryError):
 
 
 class FocusOutsideDual(GeometryError):
-    """No tried inversion radius put the focus inside the dual circle."""
+    """The focus lies outside the dual circle, as on every hyperbola member."""
 
 
 class AngleOutOfRange(GeometryError):
@@ -79,3 +79,7 @@ class AllOppositeSidesParallel(GeometryError):
 
 class EmptyScene(GeometryError):
     pass
+
+
+class MalformedInput(GeometryError):
+    """JSON input whose shape does not describe the expected object."""

@@ -154,16 +154,19 @@ def _triangle_area_residual(a: Point, b: Point, c: Point) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMap:
-    """3x3 homogeneous map; matrices proportional to each other are equal maps."""
+    """3x3 homogeneous map; matrices proportional to each other are equal maps.
 
-    m: np.ndarray
+    Rows are tuples of plain floats, so applying the map needs no numpy.
+    """
+
+    m: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         norm = np.linalg.norm(m)
         if norm == 0.0 or abs(np.linalg.det(m / norm)) < DEGENERACY_EPS:
             raise DegenerateConfiguration("singular projective map")
-        object.__setattr__(self, "m", m / norm)
+        object.__setattr__(self, "m", tuple(map(tuple, (m / norm).tolist())))
 
 
 def _any_three_collinear(points: list[Point]) -> bool:
@@ -197,7 +200,10 @@ def projective_from_correspondences(src: list[Point], dst: list[Point]) -> Proje
 
 
 def apply_map(m: ProjectiveMap, p: Point) -> Point:
-    h = m.m @ np.array([p.x, p.y, 1.0])
-    if abs(h[2]) < DEGENERACY_EPS * max(1.0, abs(h[0]), abs(h[1])):
+    (a, b, c), (d, e, f), (g, h, i) = m.m
+    hx = a * p.x + b * p.y + c
+    hy = d * p.x + e * p.y + f
+    hw = g * p.x + h * p.y + i
+    if abs(hw) < DEGENERACY_EPS * max(1.0, abs(hx), abs(hy)):
         raise PointAtInfinity(f"{p} maps to the vanishing line")
-    return Point(h[0] / h[2], h[1] / h[2])
+    return Point(hx / hw, hy / hw)

@@ -70,15 +70,6 @@ class QuadraticForm:
         )
         return abs(self.value_at(p)) / max(scale, 1.0)
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.A, self.B / 2.0, self.D / 2.0],
-                [self.B / 2.0, self.C, self.E / 2.0],
-                [self.D / 2.0, self.E / 2.0, self.G],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class FocalConic:
@@ -181,12 +172,35 @@ def tangency_residual(c: FocalConic, line: Line) -> float:
 
     A line l is tangent to the conic with matrix M iff l^T adj(M) l = 0, which
     is the discriminant of substituting the line into the implicit equation.
+    adj(M) is taken in closed form (normalized_adjugate), not as det*inv.
     """
-    m = quadratic_form(c).matrix()
-    adj = np.linalg.det(m) * np.linalg.inv(m)
-    adj = adj / np.max(np.abs(adj))
-    l = np.array([line.a, line.b, line.c])
-    return abs(l @ adj @ l) / (1.0 + line.c * line.c)
+    return tangency_residuals(c, (line,))[0]
+
+
+def tangency_residuals(c: FocalConic, lines) -> list[float]:
+    """tangency_residual of each line, with adj(M) formed once for c."""
+    (xx, _, xw), (_, yy, _), (_, _, ww) = normalized_adjugate(c)
+    out = []
+    for l in lines:
+        a, b, w = l.a, l.b, l.c
+        quad = (a * xx + w * xw) * a + b * yy * b + (a * xw + w * ww) * w
+        out.append(abs(quad) / (1.0 + w * w))
+    return out
+
+
+def normalized_adjugate(c: FocalConic) -> tuple[tuple[float, float, float], ...]:
+    """adj(M) of the member's conic matrix M, scaled to unit max-abs entry.
+
+    A pencil member has M = [[A, 0, D/2], [0, 1, 0], [D/2, 0, G]], so
+    adj(M) = [[G, 0, -D/2], [0, A*G - D^2/4, 0], [-D/2, 0, A]] in closed
+    form.  Its middle entry is det(M) = -t*(1 - p^2)^2, nonzero on every
+    member, so the scale never vanishes.
+    """
+    q = quadratic_form(c)
+    h = q.D / 2.0
+    adj = ((q.G, 0.0, -h), (0.0, q.A * q.G - h * h, 0.0), (-h, 0.0, q.A))
+    scale = max(abs(v) for row in adj for v in row)
+    return tuple(tuple(v / scale for v in row) for row in adj)
 
 
 def fit_circle(points: list[Point]) -> Circle:

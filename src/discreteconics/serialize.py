@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import MalformedInput
 from .kernel import Point
 from .pencil import FocalConic
 from .polygon import DiscreteConic
@@ -31,7 +32,7 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
-    return DiscreteConic(
+    d = DiscreteConic(
         p=float(obj["p"]),
         t=float(obj["t"]),
         theta=float(obj["theta"]),
@@ -41,6 +42,9 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
         vertices=tuple(Point(float(x), float(y)) for x, y in obj["vertices"]),
         meta=dict(obj.get("meta", {})),
     )
+    if d.n != len(d.vertices):
+        raise MalformedInput(f"n = {d.n} but {len(d.vertices)} vertices given")
+    return d
 
 
 def report_to_dict(r: Report) -> dict:

@@ -33,7 +33,7 @@ from .pencil import (
     pedal_circle,
     pencil_member,
     point_at,
-    tangency_residual,
+    tangency_residuals,
     tangent_at,
 )
 from .polygon import DiscreteConic, grid_layer, opposite_side_intersections, tangency_points
@@ -160,7 +160,7 @@ def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     """Every side line is tangent to the inscribed pencil member, so the
     polygon is inscribed in one focus-sharing conic and circumscribes another."""
     inner = _inner_member(d)
-    residuals = [tangency_residual(inner, d.side(i)) for i in range(1, d.num_sides + 1)]
+    residuals = tangency_residuals(inner, [d.side(i) for i in range(1, d.num_sides + 1)])
     return make_report("poncelet", residuals, tol, inner_t=inner.t)
 
 
@@ -236,22 +236,28 @@ def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Repor
 def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     """Intersections of side lines k apart form another discrete conic with
     the same angle, and equal the k-step tangent-intersection image of the
-    tangency-point polygon."""
+    tangency-point polygon.
+
+    Z_i = S_i n S_{i+k} meets the tangents at M_i and M_{i+k}, so it is
+    vertex i of the G_{k*theta} image of the tangency polygon M.  For
+    k > n/2 the image is taken at k_eff = n - k (G needs an angle below pi),
+    and Z_i = S_{i+k} n S_{i+k+k_eff} is its vertex i + k.  The vertex
+    correspondence is fixed by these indices, so the check is O(n).
+    """
     layer = grid_layer(d, k)
     t_vals = [parameter_of(d.p, z) for z in layer.vertices]
     t_mean = sum(t_vals) / len(t_vals)
     residuals = [abs(t - t_mean) for t in t_vals]
     residuals += _parameter_step_residuals(d.p, layer.vertices, d.theta, closed=True)
     k_eff = min(k, d.n - k)
+    shift = 0 if k_eff == k else k
     image = act_on_discrete(from_angle("G", k_eff * d.theta), tangency_points(d))
-    best = min(
+    residuals.append(
         max(
             distance(layer.vertices[idx], image.vertices[(idx + shift) % d.n])
             for idx in range(d.n)
         )
-        for shift in range(d.n)
     )
-    residuals.append(best)
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 

@@ -136,3 +136,36 @@ def test_render_scene_json(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert target.read_text().count('class="conic"') == 4
+
+
+def _generated(capsys):
+    main(["generate", "--p", "0.5", "--t", "1", "--theta", "2pi/8", "--n", "8"])
+    out, _ = capsys.readouterr()
+    return json.loads(out)
+
+
+def test_vertex_count_mismatch_exits_2(capsys, monkeypatch):
+    obj = _generated(capsys)
+    obj["n"] = 9
+    code, _, err = run_cli(
+        ["verify"], stdin_text=json.dumps(obj), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 2 and "error" in err and "Traceback" not in err
+
+
+def test_json_array_on_stdin_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(["verify"], stdin_text="[1, 2]", capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2 and "error" in err and "Traceback" not in err
+
+
+def test_render_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    obj = _generated(capsys)
+    target = tmp_path / "missing" / "figure.svg"
+    code, _, err = run_cli(
+        ["render", "--out", str(target)],
+        stdin_text=json.dumps(obj),
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and "error" in err and "Traceback" not in err
+    assert not target.exists()

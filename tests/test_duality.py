@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discreteconics import duality
 from discreteconics.duality import (
     Reciprocator,
     dual_conic,
@@ -13,7 +14,12 @@ from discreteconics.duality import (
     polar_of,
     pole_of,
 )
-from discreteconics.errors import CenterHasNoPolar, CenterNotFocus, LineThroughCenter
+from discreteconics.errors import (
+    CenterHasNoPolar,
+    CenterNotFocus,
+    FocusOutsideDual,
+    LineThroughCenter,
+)
 from discreteconics.kernel import Line, Point, distance
 from discreteconics.pencil import Circle, pencil_member
 
@@ -124,3 +130,24 @@ def test_dual_hyperbola_focus_outside():
     c = pencil_member(0.75, 2.0)  # e = 0.75*sqrt(2) > 1
     circ = dual_conic(Reciprocator(c.focus, 1.0), c, require_focus_inside=False)
     assert distance(c.focus, circ.center) > circ.radius
+
+
+@pytest.mark.parametrize("p, t, inside", [(0.5, 0.8, True), (0.75, 2.0, False), (0.3, 20.0, False)])
+def test_dual_fits_once(monkeypatch, p, t, inside):
+    """The inversion radius is a homothety about the focus, so one fit
+    decides whether the focus is inside; hyperbola members fail at once."""
+    calls = []
+    real_fit = duality.fit_circle
+
+    def counted_fit(points):
+        calls.append(len(points))
+        return real_fit(points)
+
+    monkeypatch.setattr(duality, "fit_circle", counted_fit)
+    c = pencil_member(p, t)
+    if inside:
+        dual_conic(Reciprocator(c.focus, 1.0), c)
+    else:
+        with pytest.raises(FocusOutsideDual):
+            dual_conic(Reciprocator(c.focus, 1.0), c)
+    assert len(calls) == 1
