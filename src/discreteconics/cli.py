@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from .errors import GeometryError, MalformedInput
 from .group import act_on_discrete, from_angle
-from .kernel import Point
 from .polygon import grid_layer, negative_pedal, synthesize
 from .render import Scene, render_svg, scene_from_dict
 from .serialize import polygon_from_dict, polygon_to_dict, report_to_dict
@@ -26,8 +26,6 @@ _ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*\*?\s*pi\s*(?:/\s*([0-9.]+))?$")
 
 def parse_angle(text: str) -> float:
     """Radians, or a pi fraction such as '2pi/12', 'pi/6', '-pi'."""
-    import math
-
     text = text.strip()
     m = _ANGLE_RE.match(text)
     if m:
@@ -43,6 +41,17 @@ def parse_angle(text: str) -> float:
             value /= float(m.group(2))
         return value
     return float(text)
+
+
+def _tolerance(text: str) -> float:
+    """A finite positive float; anything else is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
 
 
 def _read_object(stream) -> dict:
@@ -91,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run residual checks on a polygon from stdin")
     ver.add_argument("--check", default="all",
                      help="'all' or one of: " + ", ".join(CHECK_NAMES))
-    ver.add_argument("--tol", type=float, default=1e-8)
+    ver.add_argument("--tol", type=_tolerance, default=1e-8)
 
     ren = sub.add_parser("render", help="render a scene or polygon JSON to SVG")
     ren.add_argument("--out", required=True)
@@ -127,7 +136,7 @@ def main(argv=None) -> int:
                 scene = Scene(
                     conics=(poly.carrier,),
                     polygons=(poly,),
-                    points=(("F", Point(-poly.p, 0.0)),),
+                    points=(("F", poly.focus),),
                 )
             else:
                 scene = scene_from_dict(obj)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import AngleOutOfRange, NonpositiveT
-from .kernel import Point, intersect_lines, line_through
+from .kernel import intersect_lines, line_through
 from .pencil import pencil_member, point_at, tangent_at, tangency_residual
 from .polygon import DiscreteConic, synthesize
 from .pencil import Circle

@@ -64,10 +64,6 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def midpoint(p: Point, q: Point) -> Point:
-    return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
-
-
 @dataclass(frozen=True)
 class Line:
     """Line {(x, y) : a*x + b*y + c = 0} with a^2 + b^2 = 1.

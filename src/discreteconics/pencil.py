@@ -23,7 +23,7 @@ from .errors import (
     OnExcludedLine,
     ParabolaMember,
 )
-from .kernel import DEGENERACY_EPS, Line, Point, foot_perpendicular
+from .kernel import DEGENERACY_EPS, Line, Point
 
 # Half-width of the |eccentricity| = 1 band treated as a parabola.
 _CLASSIFY_EPS = 1e-12
@@ -91,21 +91,15 @@ class FocalConic:
     def second_focus(self) -> Point:
         return Point(2.0 * self.center.x + self.p, 0.0)
 
-    @property
-    def eccentricity(self) -> float:
-        """Derived, not authoritative: e = p * sqrt(t) (sign follows p)."""
-        return self.p * math.sqrt(self.t)
 
-    @property
-    def excluded_x(self) -> float:
-        if self.p == 0.0:
-            return math.inf
-        return -1.0 / self.p
+def check_p(p: float) -> None:
+    """Reject the degenerate shape parameters p = +-1."""
+    if abs(abs(p) - 1.0) < 1e-9:
+        raise DegenerateP("p = +-1 gives a degenerate pencil")
 
 
 def pencil_member(p: float, t: float) -> FocalConic:
-    if abs(abs(p) - 1.0) < 1e-9:
-        raise DegenerateP("p = +-1 gives a degenerate pencil")
+    check_p(p)
     if t <= 0.0:
         raise NonpositiveT(f"pencil parameter t must be positive, got {t}")
     return FocalConic(float(p), float(t))
@@ -138,8 +132,7 @@ def point_at(c: FocalConic, alpha: float) -> Point:
 
 def parameter_of(p: float, x: Point) -> float:
     """The unique t whose member passes through x (foliation property)."""
-    if abs(abs(p) - 1.0) < 1e-9:
-        raise DegenerateP("p = +-1 gives a degenerate pencil")
+    check_p(p)
     denom = 1.0 + p * x.x
     if abs(denom) < DEGENERACY_EPS:
         raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
@@ -232,18 +225,14 @@ def _sampled_tangents(c: FocalConic, count: int) -> list[tuple[float, Line]]:
     return out
 
 
-def pedal_circle(c: FocalConic, samples: int = 32, tol: float = 1e-9) -> Circle:
+def pedal_circle(c: FocalConic) -> Circle:
     """Locus of feet of perpendiculars from the focus to tangent lines.
 
-    Computed by sampling and a least-squares fit rather than in closed form,
-    so the fit residual doubles as a self-test of tangent_at.
+    The pedal curve of a central conic about a focus is its auxiliary
+    circle, in closed form: centred at the conic's center, with radius the
+    semi-axis on the focal axis, sqrt(t) * |1 - p^2| / |1 - t * p^2|.
     """
     if classify(c) == "parabola":
         raise ParabolaMember("pedal of a parabola about its focus is a line")
-    f = c.focus
-    feet = [foot_perpendicular(f, line) for _, line in _sampled_tangents(c, samples)]
-    circ = fit_circle(feet)
-    dev = max(abs(math.hypot(p.x - circ.center.x, p.y - circ.center.y) - circ.radius) for p in feet)
-    if dev > tol * max(1.0, circ.radius):
-        raise ValueError(f"pedal locus deviates from a circle by {dev}")
-    return circ
+    p, t = c.p, c.t
+    return Circle(c.center, math.sqrt(t) * abs(1.0 - p * p) / abs(1.0 - t * p * p))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AngleOutOfRange, DegenerateP, FormulaPole, NotClosed, AllOppositeSidesParallel, ParallelLines, GeometryError
+from .errors import AngleOutOfRange, FormulaPole, NotClosed, AllOppositeSidesParallel, ParallelLines, GeometryError
 from .kernel import (
     TWO_PI,
     Line,
@@ -26,7 +26,7 @@ from .kernel import (
     line_through,
     normalize_angle,
 )
-from .pencil import FocalConic, parameter_of, pencil_member, point_at
+from .pencil import FocalConic, check_p, pencil_member, point_at
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class DiscreteConic:
         return Point(-self.p, 0.0)
 
     @property
+    def inner(self) -> FocalConic:
+        """The inscribed member t*cos^2(theta/2), tangent to every side."""
+        c = math.cos(self.theta / 2.0)
+        return pencil_member(self.p, self.t * c * c)
+
+    @property
     def winding(self) -> int:
         return round(self.n * self.theta / TWO_PI)
 
@@ -80,12 +86,16 @@ def _is_closed(n: int, theta: float) -> bool:
     return abs(normalize_angle(n * theta + math.pi) - math.pi) < _CLOSURE_EPS
 
 
-def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
-    """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
+def _check_theta_n(theta: float, n: int) -> None:
     if not 0.0 < theta < math.pi:
         raise AngleOutOfRange(f"theta must lie in (0, pi), got {theta}")
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
+
+
+def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
+    """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
+    _check_theta_n(theta, n)
     c = pencil_member(p, t)
     verts = tuple(point_at(c, phi + j * theta) for j in range(n))
     return DiscreteConic(c.p, c.t, theta, phi, n, _is_closed(n, theta), verts)
@@ -98,12 +108,8 @@ def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> Discrete
     with psi = (j-1)*theta + phi.  The focal direction of V_j from (-p, 0) is
     exactly (cos psi, sin psi), so the equal-angle property holds by algebra.
     """
-    if abs(abs(p) - 1.0) < 1e-9:
-        raise DegenerateP("p = +-1 is degenerate for the closed form")
-    if not 0.0 < theta < math.pi:
-        raise AngleOutOfRange(f"theta must lie in (0, pi), got {theta}")
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
+    check_p(p)
+    _check_theta_n(theta, n)
     verts = []
     for j in range(n):
         psi = j * theta + phi
@@ -140,12 +146,8 @@ def negative_pedal(p: float, theta: float, phi: float, n: int) -> tuple[PedalSca
     phi + 3*theta/2, and the equal-angle property holds at (-p, 0) even
     though that point plays no role in the construction.
     """
-    if abs(abs(p) - 1.0) < 1e-9:
-        raise DegenerateP("p = +-1 is degenerate for the pedal construction")
-    if not 0.0 < theta < math.pi:
-        raise AngleOutOfRange(f"theta must lie in (0, pi), got {theta}")
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
+    check_p(p)
+    _check_theta_n(theta, n)
     pedal = Point(float(p), 0.0)
     samples = []
     lines = []
@@ -177,15 +179,13 @@ def tangency_points(d: DiscreteConic) -> DiscreteConic:
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
-    cos = math.cos(d.theta / 2.0)
-    t_inner = d.t * cos * cos
-    inner = pencil_member(d.p, t_inner)
+    inner = d.inner
     count = d.num_sides
     verts = tuple(
         point_at(inner, d.phi + j * d.theta + d.theta / 2.0) for j in range(count)
     )
     return DiscreteConic(
-        d.p, t_inner, d.theta, d.phi + d.theta / 2.0, count, _is_closed(count, d.theta), verts
+        d.p, inner.t, d.theta, d.phi + d.theta / 2.0, count, _is_closed(count, d.theta), verts
     )
 
 
@@ -206,9 +206,8 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
             f"side lines {k} apart are parallel; for opposite sides use "
             "opposite_side_intersections"
         )
-    cos = math.cos(d.theta / 2.0)
     sec_k = 1.0 / math.cos(k * d.theta / 2.0)
-    t_layer = d.t * cos * cos * sec_k * sec_k
+    t_layer = d.inner.t * sec_k * sec_k
     f = d.focus
     phi_layer = math.atan2(verts[0].y - f.y, verts[0].x - f.x)
     return DiscreteConic(d.p, t_layer, d.theta, phi_layer, d.n, True, verts)

@@ -8,7 +8,7 @@ becomes exactly one element (hyperbola branches live inside one group).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyScene
 from .kernel import Line, Point

@@ -32,16 +32,19 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
-    d = DiscreteConic(
-        p=float(obj["p"]),
-        t=float(obj["t"]),
-        theta=float(obj["theta"]),
-        phi=float(obj["phi"]),
-        n=int(obj["n"]),
-        closed=bool(obj["closed"]),
-        vertices=tuple(Point(float(x), float(y)) for x, y in obj["vertices"]),
-        meta=dict(obj.get("meta", {})),
-    )
+    try:
+        d = DiscreteConic(
+            p=float(obj["p"]),
+            t=float(obj["t"]),
+            theta=float(obj["theta"]),
+            phi=float(obj["phi"]),
+            n=int(obj["n"]),
+            closed=bool(obj["closed"]),
+            vertices=tuple(Point(float(x), float(y)) for x, y in obj["vertices"]),
+            meta=dict(obj.get("meta", {})),
+        )
+    except TypeError as exc:  # a null or a wrongly nested value
+        raise MalformedInput(f"malformed polygon: {exc}") from exc
     if d.n != len(d.vertices):
         raise MalformedInput(f"n = {d.n} but {len(d.vertices)} vertices given")
     return d
@@ -59,14 +62,19 @@ def report_to_dict(r: Report) -> dict:
 
 
 def report_from_dict(obj: dict) -> Report:
-    return Report(
-        check=obj["check"],
-        residuals=tuple(float(r) for r in obj["residuals"]),
-        max_residual=float(obj["max_residual"]),
-        tolerance=float(obj["tolerance"]),
-        passed=bool(obj["pass"]),
-        metadata=dict(obj.get("metadata", {})),
-    )
+    try:
+        if not isinstance(obj["residuals"], list):
+            raise TypeError("residuals must be a list")
+        return Report(
+            check=obj["check"],
+            residuals=tuple(float(r) for r in obj["residuals"]),
+            max_residual=float(obj["max_residual"]),
+            tolerance=float(obj["tolerance"]),
+            passed=bool(obj["pass"]),
+            metadata=dict(obj.get("metadata", {})),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed report: {exc!r}") from exc
 
 
 def conic_to_dict(c: FocalConic) -> dict:

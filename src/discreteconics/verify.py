@@ -76,16 +76,7 @@ def _cross_of_units(ux, uy, vx, vy) -> float:
     return abs(ux * vy - uy * vx) / (nu * nv)
 
 
-def _inner_member(d: DiscreteConic):
-    c = math.cos(d.theta / 2.0)
-    return pencil_member(d.p, d.t * c * c)
-
-
-def _second_focus(d: DiscreteConic) -> Point:
-    """Other focus of the inscribed member: reflection of the shared focus
-    across that member's center."""
-    inner = _inner_member(d)
-    return Point(2.0 * inner.center.x + d.p, 0.0)
+_inner_member = DiscreteConic.inner.fget
 
 
 def _focal_parameter(p: float, z: Point) -> float:
@@ -159,7 +150,7 @@ def check_projective_regular(d: DiscreteConic, tol: float = 1e-6) -> Report:
 def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     """Every side line is tangent to the inscribed pencil member, so the
     polygon is inscribed in one focus-sharing conic and circumscribes another."""
-    inner = _inner_member(d)
+    inner = d.inner
     residuals = tangency_residuals(inner, [d.side(i) for i in range(1, d.num_sides + 1)])
     return make_report("poncelet", residuals, tol, inner_t=inner.t)
 
@@ -190,7 +181,7 @@ def check_reflective(d: DiscreteConic, j: int = 1, tol: float = 1e-9) -> Report:
     if not d.closed:
         raise NotClosed("the reflective property needs a closed polygon")
     f = d.focus
-    f2 = _second_focus(d)
+    f2 = d.inner.second_focus
     m = tangency_points(d)
     s_j = d.side(j)
     residuals = []
@@ -216,7 +207,7 @@ def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Repor
     the rays from the two foci are isogonal with respect to the sides."""
     z = intersect_lines(d.side(i), d.side(j))
     f = d.focus
-    f2 = _second_focus(d)
+    f2 = d.inner.second_focus
     m = tangency_points(d)
     residuals = []
     for a, b in (
@@ -365,29 +356,46 @@ def _check_parallelism(p: float, t: float, alpha: float, tol: float) -> Report:
     return make_report("lemma_parallelism", residuals, tol)
 
 
+_LEMMAS = {
+    "equal_distances": _check_equal_distances,
+    "rectangle_billiard": _check_rectangle_billiard,
+    "parallelism": _check_parallelism,
+}
+
+
 def check_lemma(lemma_id: str, tol: float = 1e-9, **params) -> Report:
-    if lemma_id == "equal_distances":
-        return _check_equal_distances(tol=tol, **params)
-    if lemma_id == "rectangle_billiard":
-        return _check_rectangle_billiard(tol=tol, **params)
-    if lemma_id == "parallelism":
-        return _check_parallelism(tol=tol, **params)
-    raise ValueError(f"unknown lemma check {lemma_id!r}")
+    if lemma_id not in _LEMMAS:
+        raise ValueError(f"unknown lemma check {lemma_id!r}")
+    return _LEMMAS[lemma_id](tol=tol, **params)
 
 
 # ---------------------------------------------------------------------------
 # Batch runner
 
-CHECK_NAMES = (
-    "equal_angles",
-    "poncelet",
-    "diagonals",
-    "projective_regular",
-    "reflective",
-    "isogonal",
-    "grid",
-    "pascal_line",
-)
+_OPEN = "open chain"
+_N_GE_5 = "needs a closed polygon with n >= 5"
+_EVEN = "needs a closed even-sided polygon"
+
+# Skip reason -> whether it applies to a polygon.
+_SKIP_WHEN = {
+    _OPEN: lambda d: not d.closed,
+    _N_GE_5: lambda d: not d.closed or d.n < 5,
+    _EVEN: lambda d: not d.closed or d.n % 2 != 0,
+}
+
+# Check name -> (check(d, tol), skip reason or None when it always runs).
+_CHECKS = {
+    "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), None),
+    "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), None),
+    "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), _OPEN),
+    "projective_regular": (lambda d, tol: check_projective_regular(d, tol=max(tol, 1e-6)), _N_GE_5),
+    "reflective": (lambda d, tol: check_reflective(d, tol=tol), _OPEN),
+    "isogonal": (lambda d, tol: check_isogonal(d, 1, 2 if d.n == 4 else 3, tol=tol), _OPEN),
+    "grid": (lambda d, tol: check_grid(d, 2, tol=tol), _N_GE_5),
+    "pascal_line": (lambda d, tol: check_pascal_line(d, tol=tol), _EVEN),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _skipped(name: str, tol: float, reason: str) -> Report:
@@ -400,44 +408,14 @@ def run_checks(d: DiscreteConic, names=None, tol: float = DEFAULT_TOL) -> list[R
     names = list(names) if names else list(CHECK_NAMES)
     reports = []
     for name in names:
+        if name not in _CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+        check, reason = _CHECKS[name]
         try:
-            if name == "equal_angles":
-                reports.append(check_equal_angles(d, tol=tol))
-            elif name == "poncelet":
-                reports.append(check_poncelet(d, tol=tol))
-            elif name == "diagonals":
-                if not d.closed:
-                    reports.append(_skipped(name, tol, "open chain"))
-                else:
-                    reports.append(check_diagonals(d, tol=tol))
-            elif name == "projective_regular":
-                if not d.closed or d.n < 5:
-                    reports.append(_skipped(name, tol, "needs a closed polygon with n >= 5"))
-                else:
-                    reports.append(check_projective_regular(d, tol=max(tol, 1e-6)))
-            elif name == "reflective":
-                if not d.closed:
-                    reports.append(_skipped(name, tol, "open chain"))
-                else:
-                    reports.append(check_reflective(d, tol=tol))
-            elif name == "isogonal":
-                if not d.closed:
-                    reports.append(_skipped(name, tol, "open chain"))
-                else:
-                    gap = 1 if d.n == 4 else 2
-                    reports.append(check_isogonal(d, 1, 1 + gap, tol=tol))
-            elif name == "grid":
-                if not d.closed or d.n < 5:
-                    reports.append(_skipped(name, tol, "needs a closed polygon with n >= 5"))
-                else:
-                    reports.append(check_grid(d, 2, tol=tol))
-            elif name == "pascal_line":
-                if not d.closed or d.n % 2 != 0:
-                    reports.append(_skipped(name, tol, "needs a closed even-sided polygon"))
-                else:
-                    reports.append(check_pascal_line(d, tol=tol))
+            if reason and _SKIP_WHEN[reason](d):
+                reports.append(_skipped(name, tol, reason))
             else:
-                raise ValueError(f"unknown check {name!r}")
+                reports.append(check(d, tol))
         except (AllOppositeSidesParallel, ParallelLines) as exc:
             reports.append(_skipped(name, tol, str(exc)))
     return reports

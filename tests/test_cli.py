@@ -169,3 +169,52 @@ def test_render_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and "error" in err and "Traceback" not in err
     assert not target.exists()
+
+
+MALFORMED_POLYGONS = {
+    "vertices_flat": ("vertices", [1, 2]),
+    "vertices_scalar": ("vertices", 5),
+    "p_null": ("p", None),
+}
+
+SUBCOMMANDS = {
+    "verify": ["verify"],
+    "grid": ["grid", "--k", "2"],
+    "transform": ["transform", "--op", "G", "--angle", "pi/8"],
+    "render": ["render", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("case", MALFORMED_POLYGONS)
+def test_malformed_polygon_json_exits_2(case, command, tmp_path, capsys, monkeypatch):
+    obj = _generated(capsys)
+    key, value = MALFORMED_POLYGONS[case]
+    obj[key] = value
+    argv = list(SUBCOMMANDS[command])
+    if command == "render":
+        argv.append(str(tmp_path / "figure.svg"))
+    code, out, err = run_cli(
+        argv, stdin_text=json.dumps(obj), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+def test_verify_tol_must_be_finite_and_positive(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol", tol])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and "--tol" in err
+
+
+def test_verify_tol_accepts_positive(capsys, monkeypatch):
+    obj = _generated(capsys)
+    code, out, _ = run_cli(
+        ["verify", "--check", "poncelet", "--tol", "1e-6"],
+        stdin_text=json.dumps(obj),
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and json.loads(out)[0]["tolerance"] == 1e-6
