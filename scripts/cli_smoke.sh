@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Smoke test of the installed `discreteconics` command: runs the README's CLI
+# examples and two hyperbola-member pipelines, and checks each exit code
+# against the one the README states (0 success, 1 a check failed, 2 usage or
+# degenerate input).  Run it after `pip install .`, from any directory.
+set -u
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 2
+status=0
+
+expect() {  # expect CODE PIPELINE
+    bash -o pipefail -c "$2" >/dev/null 2>"$work/stderr"
+    local got=$?
+    if [ "$got" -eq "$1" ]; then
+        echo "ok   exit $got: $2"
+    else
+        echo "FAIL exit $got, expected $1: $2"
+        cat "$work/stderr"
+        status=1
+    fi
+}
+
+dc=discreteconics
+gen="$dc generate --p 0.75 --t 0.5 --theta pi/6 --n 12"
+
+# README examples.
+expect 0 "$gen"
+expect 0 "$dc pedal --p 0.75 --theta pi/6 --n 12"
+expect 0 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | $dc transform --op G --angle 2pi/8"
+expect 0 "$gen | $dc grid --k 3"
+expect 0 "$gen | $dc verify --check all"
+expect 0 "$dc generate --p 0.75 --t 1 --theta 2pi/6 --n 6 | $dc render --out figure.svg"
+[ -s figure.svg ] || { echo "FAIL render wrote no figure.svg"; status=1; }
+
+# Vertices on the far branch of a hyperbola member.
+expect 0 "$dc generate --p 0.3 --t 20 --theta 2pi/7 --n 7 | $dc verify"
+expect 0 "$dc generate --p 0.5 --t 20 --theta 2pi/8 --n 8 | $dc grid --k 2 | $dc verify"
+
+# The other exit codes.
+expect 1 "$gen | $dc verify --tol 1e-300"
+expect 2 "$dc generate --p 1 --t 0.5 --theta pi/6 --n 12"
+expect 2 "$dc generate --p 0.5 --t 1 --theta pi/0 --n 8"
+expect 2 "echo '{\"conics\": 5}' | $dc render --out scene.svg"
+
+exit $status

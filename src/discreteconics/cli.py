@@ -25,10 +25,16 @@ _ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*\*?\s*pi\s*(?:/\s*([0-9.]+))?$")
 
 
 def parse_angle(text: str) -> float:
-    """Radians, or a pi fraction such as '2pi/12', 'pi/6', '-pi'."""
+    """Radians, or a pi fraction such as '2pi/12', 'pi/6', '-pi'.
+
+    A zero denominator or a non-finite angle raises ValueError, which
+    argparse reports as a usage error (exit 2).
+    """
     text = text.strip()
     m = _ANGLE_RE.match(text)
-    if m:
+    if not m:
+        value = float(text)
+    else:
         coef = m.group(1)
         if coef in ("", "+"):
             num = 1.0
@@ -38,9 +44,13 @@ def parse_angle(text: str) -> float:
             num = float(coef)
         value = num * math.pi
         if m.group(2):
-            value /= float(m.group(2))
-        return value
-    return float(text)
+            den = float(m.group(2))
+            if den == 0.0:
+                raise ValueError(f"zero denominator in angle {text!r}")
+            value /= den
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _tolerance(text: str) -> float:

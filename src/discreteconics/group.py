@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 from .errors import AngleOutOfRange, NonpositiveT
 from .kernel import intersect_lines, line_through
-from .pencil import pencil_member, point_at, tangent_at, tangency_residual
+from .pencil import Circle, pencil_member, point_at, tangent_at, tangency_residual
 from .polygon import DiscreteConic, synthesize
-from .pencil import Circle
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,14 @@ def act_on_circle(e: GroupElement, c: Circle) -> Circle:
     return Circle(c.center, c.radius * e.s)
 
 
+def image(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
+    """The parametric image: t -> t*s^2, phi -> phi + half the acted angle."""
+    _, psi = as_angle(e)
+    return synthesize(d.p, act_on_parameter(e, d.t), d.theta, d.phi + psi / 2.0, d.n)
+
+
 def act_on_discrete(e: GroupElement, d: DiscreteConic, tol: float = 1e-9) -> DiscreteConic:
-    """Image polygon: t -> t*s^2, phi -> phi + half the acted angle.
+    """image(e, d), with its vertex correspondence checked where it is known.
 
     When the acted angle is an integer multiple k of the polygon's own theta,
     the image vertices coincide with tangent-line intersections (G) or chord
@@ -81,7 +86,7 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic, tol: float = 1e-9) -> Dis
     flagged as not asserted.
     """
     kind, psi = as_angle(e)
-    out = synthesize(d.p, act_on_parameter(e, d.t), d.theta, d.phi + psi / 2.0, d.n)
+    out = image(e, d)
     if psi < 1e-15:
         return replace(out, meta={**out.meta, "vertex_correspondence": "identity"})
     ratio = psi / d.theta

@@ -7,6 +7,9 @@ The canonical parametrization is the focal polar form
     r(alpha) = sqrt(t) * (1 - p^2) / (1 - sqrt(t) * p * cos(alpha)),
 
 measured from F; r may be negative on the far branch of a hyperbola member.
+The angle of a point at F is therefore its signed focal parameter alpha
+(point_at(member, alpha) is the point), which is the ray angle plus pi on a
+far branch; focal_parameter is the one place that computes it.
 """
 
 from __future__ import annotations
@@ -137,6 +140,24 @@ def parameter_of(p: float, x: Point) -> float:
     if abs(denom) < DEGENERACY_EPS:
         raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
     return ((p + x.x) ** 2 + x.y**2) / denom**2
+
+
+def focal_parameter(p: float, z: Point) -> float:
+    """The alpha with point_at(member, alpha) == z on z's own member: the ray
+    angle from the focus, plus pi where the signed radius is negative."""
+    c = pencil_member(p, parameter_of(p, z))
+    f = c.focus
+    d = math.hypot(z.x - f.x, z.y - f.y)
+    beta = math.atan2(z.y - f.y, z.x - f.x)
+    try:
+        err_pos = abs(focal_radius(c, beta) - d)
+    except AsymptoticDirection:
+        err_pos = math.inf
+    try:
+        err_neg = abs(focal_radius(c, beta + math.pi) + d)
+    except AsymptoticDirection:
+        err_neg = math.inf
+    return beta if err_pos <= err_neg else beta + math.pi
 
 
 def quadratic_form(c: FocalConic) -> QuadraticForm:

@@ -26,7 +26,7 @@ from .kernel import (
     line_through,
     normalize_angle,
 )
-from .pencil import FocalConic, check_p, pencil_member, point_at
+from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at
 
 import numpy as np
 
@@ -193,7 +193,8 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
     """Polygon of intersections of side lines k apart: Z_i = S_i n S_{i+k}.
 
     Lands on the t*cos^2(theta/2)*sec^2(k*theta/2) member; equals the
-    G_{k*theta} image of the tangency-point polygon as a vertex set.
+    G_{k*theta} image of the tangency-point polygon as a vertex set.  phi is
+    the focal parameter of Z_1, so synthesize reproduces the layer.
     """
     if not d.closed:
         raise NotClosed("grid layers are defined for closed polygons")
@@ -208,8 +209,7 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
         )
     sec_k = 1.0 / math.cos(k * d.theta / 2.0)
     t_layer = d.inner.t * sec_k * sec_k
-    f = d.focus
-    phi_layer = math.atan2(verts[0].y - f.y, verts[0].x - f.x)
+    phi_layer = focal_parameter(d.p, verts[0])
     return DiscreteConic(d.p, t_layer, d.theta, phi_layer, d.n, True, verts)
 
 

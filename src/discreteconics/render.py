@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyScene
+from .errors import AsymptoticDirection, EmptyScene, MalformedInput
 from .kernel import Line, Point
 from .pencil import FocalConic, focal_radius
 from .polygon import DiscreteConic
@@ -42,19 +42,25 @@ def scene_to_dict(s: Scene) -> dict:
 
 def scene_from_dict(obj: dict) -> Scene:
     vb = obj.get("viewbox")
-    return Scene(
-        conics=tuple(conic_from_dict(c) for c in obj.get("conics", [])),
-        polygons=tuple(polygon_from_dict(p) for p in obj.get("polygons", [])),
-        points=tuple(
-            (entry.get("label", ""), Point(float(entry["xy"][0]), float(entry["xy"][1])))
-            for entry in obj.get("points", [])
-        ),
-        lines=tuple(
-            Line.from_coefficients(float(a), float(b), float(c))
-            for a, b, c in obj.get("lines", [])
-        ),
-        viewbox=tuple(float(v) for v in vb) if vb else None,
-    )
+    try:
+        scene = Scene(
+            conics=tuple(conic_from_dict(c) for c in obj.get("conics", [])),
+            polygons=tuple(polygon_from_dict(p) for p in obj.get("polygons", [])),
+            points=tuple(
+                (entry.get("label", ""), Point(float(entry["xy"][0]), float(entry["xy"][1])))
+                for entry in obj.get("points", [])
+            ),
+            lines=tuple(
+                Line.from_coefficients(float(a), float(b), float(c))
+                for a, b, c in obj.get("lines", [])
+            ),
+            viewbox=tuple(float(v) for v in vb) if vb else None,
+        )
+    except (TypeError, AttributeError, IndexError) as exc:  # a null or a wrongly nested value
+        raise MalformedInput(f"malformed scene: {exc}") from exc
+    if scene.viewbox is not None and len(scene.viewbox) != 4:
+        raise MalformedInput(f"viewbox needs 4 numbers, got {len(scene.viewbox)}")
+    return scene
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +76,7 @@ def sample_conic(c: FocalConic, count: int = 512, r_clip: float = 1e3) -> list[l
         alpha = 2.0 * math.pi * j / count
         try:
             r = focal_radius(c, alpha)
-        except Exception:
+        except AsymptoticDirection:
             r = math.inf
         if not math.isfinite(r) or abs(r) > r_clip or (prev_r is not None and r * prev_r < 0.0):
             if len(current) >= 2:

@@ -11,7 +11,7 @@ import json
 
 from .errors import MalformedInput
 from .kernel import Point
-from .pencil import FocalConic
+from .pencil import FocalConic, pencil_member
 from .polygon import DiscreteConic
 from .verify import Report
 
@@ -82,7 +82,7 @@ def conic_to_dict(c: FocalConic) -> dict:
 
 
 def conic_from_dict(obj: dict) -> FocalConic:
-    return FocalConic(float(obj["p"]), float(obj["t"]))
+    return pencil_member(float(obj["p"]), float(obj["t"]))
 
 
 def serialize(obj) -> str:

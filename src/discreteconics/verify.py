@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AllOppositeSidesParallel, GeometryError, NotClosed, ParallelLines
-from .group import from_angle, act_on_discrete
+from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
+from .group import from_angle, image
 from .kernel import (
     Line,
     Point,
@@ -28,7 +28,7 @@ from .kernel import (
     wrapped_diff,
 )
 from .pencil import (
-    focal_radius,
+    focal_parameter,
     parameter_of,
     pedal_circle,
     pencil_member,
@@ -63,11 +63,11 @@ def make_report(check: str, residuals, tolerance: float, **metadata) -> Report:
     return Report(check, residuals, worst, tolerance, worst <= tolerance, metadata)
 
 
-def _unsigned_angle(ux: float, uy: float, vx: float, vy: float) -> float:
-    """Angle between two direction vectors, in [0, pi]."""
+def _line_angle(ux: float, uy: float, vx: float, vy: float) -> float:
+    """Angle between the lines along two direction vectors, in [0, pi/2]."""
     cross = ux * vy - uy * vx
     dot = ux * vx + uy * vy
-    return math.atan2(abs(cross), dot)
+    return math.atan2(abs(cross), abs(dot))
 
 
 def _cross_of_units(ux, uy, vx, vy) -> float:
@@ -79,32 +79,9 @@ def _cross_of_units(ux, uy, vx, vy) -> float:
 _inner_member = DiscreteConic.inner.fget
 
 
-def _focal_parameter(p: float, z: Point) -> float:
-    """Signed focal parameter of z on its own pencil member.
-
-    On a hyperbola member the far branch has negative signed radius, so the
-    parameter is the direction angle from the focus plus pi there; choosing
-    the branch by the better radius match makes equal-parameter-step claims
-    testable on derived polygons that land on hyperbola members.
-    """
-    c = pencil_member(p, parameter_of(p, z))
-    f = c.focus
-    d = math.hypot(z.x - f.x, z.y - f.y)
-    beta = math.atan2(z.y - f.y, z.x - f.x)
-    try:
-        err_pos = abs(focal_radius(c, beta) - d)
-    except GeometryError:
-        err_pos = math.inf
-    try:
-        err_neg = abs(focal_radius(c, beta + math.pi) + d)
-    except GeometryError:
-        err_neg = math.inf
-    return beta if err_pos <= err_neg else beta + math.pi
-
-
 def _parameter_step_residuals(p: float, points, theta: float, closed: bool = False) -> list[float]:
     """|focal-parameter step - theta| for consecutive points, wrap-aware."""
-    alphas = [_focal_parameter(p, z) for z in points]
+    alphas = [focal_parameter(p, z) for z in points]
     last = len(alphas) if closed else len(alphas) - 1
     return [
         abs(wrapped_diff(alphas[(i + 1) % len(alphas)] - alphas[i], theta))
@@ -113,15 +90,17 @@ def _parameter_step_residuals(p: float, points, theta: float, closed: bool = Fal
 
 
 def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e-9) -> Report:
+    """Focal-parameter steps at the pencil focus; ray angles at any other f."""
     if d.n < 3:
         raise ValueError("need at least three vertices")
-    if f is None:
-        f = d.focus
-    count = d.n if d.closed else d.n - 1
-    residuals = [
-        abs(wrapped_diff(directed_angle(f, d.vertex(i), d.vertex(i + 1)), d.theta))
-        for i in range(1, count + 1)
-    ]
+    f = d.focus if f is None else f
+    if f == d.focus:
+        residuals = _parameter_step_residuals(d.p, d.vertices, d.theta, closed=d.closed)
+    else:
+        residuals = [
+            abs(wrapped_diff(directed_angle(f, d.vertex(i), d.vertex(i + 1)), d.theta))
+            for i in range(1, d.num_sides + 1)
+        ]
     return make_report("equal_angles", residuals, tol, focus=[f.x, f.y], theta=d.theta)
 
 
@@ -202,24 +181,23 @@ def check_reflective(d: DiscreteConic, j: int = 1, tol: float = 1e-9) -> Report:
 
 
 def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Report:
-    """The focal ray to the intersection of two side lines bisects the angles
-    subtended by their tangency points and by the matching vertex pairs, and
-    the rays from the two foci are isogonal with respect to the sides."""
+    """The intersection z of two side lines is, in focal parameter, midway
+    between their tangency points and between the matching vertex pairs, and
+    the *lines* from z to the two foci are isogonal with respect to the sides
+    (on a hyperbola member the rays can differ by pi)."""
     z = intersect_lines(d.side(i), d.side(j))
     f = d.focus
     f2 = d.inner.second_focus
     m = tangency_points(d)
-    residuals = []
-    for a, b in (
-        (m.vertex(i), m.vertex(j)),
-        (d.vertex(i), d.vertex(j + 1)),
-        (d.vertex(i + 1), d.vertex(j)),
-    ):
-        residuals.append(
-            abs(wrapped_diff(directed_angle(f, a, z), directed_angle(f, z, b)))
-        )
-    ang1 = _unsigned_angle(f.x - z.x, f.y - z.y, m.vertex(i).x - z.x, m.vertex(i).y - z.y)
-    ang2 = _unsigned_angle(f2.x - z.x, f2.y - z.y, m.vertex(j).x - z.x, m.vertex(j).y - z.y)
+    az = focal_parameter(d.p, z)
+    pairs = ((m.vertex(i), m.vertex(j)), (d.vertex(i), d.vertex(j + 1)),
+             (d.vertex(i + 1), d.vertex(j)))
+    residuals = [
+        abs(wrapped_diff(az - focal_parameter(d.p, a), focal_parameter(d.p, b) - az))
+        for a, b in pairs
+    ]
+    ang1 = _line_angle(f.x - z.x, f.y - z.y, m.vertex(i).x - z.x, m.vertex(i).y - z.y)
+    ang2 = _line_angle(f2.x - z.x, f2.y - z.y, m.vertex(j).x - z.x, m.vertex(j).y - z.y)
     residuals.append(abs(ang1 - ang2))
     return make_report("isogonal", residuals, tol, i=i, j=j, z=[z.x, z.y])
 
@@ -233,7 +211,8 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     vertex i of the G_{k*theta} image of the tangency polygon M.  For
     k > n/2 the image is taken at k_eff = n - k (G needs an angle below pi),
     and Z_i = S_{i+k} n S_{i+k+k_eff} is its vertex i + k.  The vertex
-    correspondence is fixed by these indices, so the check is O(n).
+    correspondence is fixed by these indices, so the check is O(n).  The
+    image is group.image: the distance residual is its correspondence test.
     """
     layer = grid_layer(d, k)
     t_vals = [parameter_of(d.p, z) for z in layer.vertices]
@@ -242,13 +221,8 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     residuals += _parameter_step_residuals(d.p, layer.vertices, d.theta, closed=True)
     k_eff = min(k, d.n - k)
     shift = 0 if k_eff == k else k
-    image = act_on_discrete(from_angle("G", k_eff * d.theta), tangency_points(d))
-    residuals.append(
-        max(
-            distance(layer.vertices[idx], image.vertices[(idx + shift) % d.n])
-            for idx in range(d.n)
-        )
-    )
+    g = image(from_angle("G", k_eff * d.theta), tangency_points(d)).vertices
+    residuals.append(max(distance(z, g[(i + shift) % d.n]) for i, z in enumerate(layer.vertices)))
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 

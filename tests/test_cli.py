@@ -218,3 +218,53 @@ def test_verify_tol_accepts_positive(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 0 and json.loads(out)[0]["tolerance"] == 1e-6
+
+
+MALFORMED_SCENES = {
+    "conics_scalar": {"conics": 5},
+    "conic_p_null": {"conics": [{"p": None, "t": 1}]},
+    "conic_not_object": {"conics": [5]},
+    "conic_t_negative": {"conics": [{"p": 0.5, "t": -1}]},
+    "conic_p_one": {"conics": [{"p": 1.0, "t": 1}]},
+    "point_xy_scalar": {"points": [{"label": "F", "xy": 3}]},
+    "point_xy_short": {"points": [{"label": "F", "xy": [1]}]},
+    "point_not_object": {"points": [[1, 2]]},
+    "line_scalar": {"lines": [5]},
+    "viewbox_scalar": {"conics": [{"p": 0.5, "t": 1}], "viewbox": 5},
+    "viewbox_short": {"conics": [{"p": 0.5, "t": 1}], "viewbox": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCENES)
+def test_malformed_scene_json_exits_2(case, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        ["render", "--out", str(target)],
+        stdin_text=json.dumps(MALFORMED_SCENES[case]),
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("text", ["pi/0", "2pi/0.0", "-pi/00", "inf", "-inf", "nan", "1e400pi"])
+def test_parse_angle_rejects_zero_denominator_and_non_finite(text):
+    with pytest.raises(ValueError):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--p", "0.5", "--t", "1", "--theta", "pi/0", "--n", "5"],
+        ["generate", "--p", "0.5", "--t", "1", "--theta", "pi/5", "--phi", "pi/0", "--n", "5"],
+        ["transform", "--op", "G", "--angle", "pi/0"],
+    ],
+)
+def test_zero_denominator_angle_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and "invalid parse_angle value" in err
