@@ -43,5 +43,9 @@ expect 1 "$gen | $dc verify --tol 1e-300"
 expect 2 "$dc generate --p 1 --t 0.5 --theta pi/6 --n 12"
 expect 2 "$dc generate --p 0.5 --t 1 --theta pi/0 --n 8"
 expect 2 "echo '{\"conics\": 5}' | $dc render --out scene.svg"
+# Polygon JSON whose closed flag contradicts n*theta, and a NaN pencil member.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 7 | sed 's/\"closed\": false/\"closed\": true/' | $dc verify"
+expect 2 "echo '{\"conics\": [{\"p\": NaN, \"t\": 1}]}' | $dc render --out nan.svg"
+[ -e nan.svg ] && { echo "FAIL render wrote nan.svg"; status=1; }
 
 exit $status

@@ -21,6 +21,9 @@ from .errors import (
 from .kernel import DEGENERACY_EPS, Line, Point, distance, foot_perpendicular
 from .pencil import Circle, FocalConic, _sampled_tangents, fit_circle, tangent_at
 
+_SAMPLES = 32  # tangent lines whose poles are fitted
+_FIT_TOL = 1e-9  # largest pole deviation from the fit, relative to max(1, radius)
+
 
 @dataclass(frozen=True)
 class Reciprocator:
@@ -68,13 +71,7 @@ def invert_circle(r: Reciprocator, c: Circle) -> Circle:
     return Circle(center, abs(s) * c.radius)
 
 
-def dual_conic(
-    r: Reciprocator,
-    c: FocalConic,
-    samples: int = 32,
-    tol: float = 1e-9,
-    require_focus_inside: bool = True,
-) -> Circle:
+def dual_conic(r: Reciprocator, c: FocalConic, require_focus_inside: bool = True) -> Circle:
     """Reciprocal of a pencil member about its own focus: a fitted circle.
 
     The poles of sampled tangent lines are fitted to a circle; the fit
@@ -89,7 +86,7 @@ def dual_conic(
     if distance(r.center, c.focus) > 1e-9:
         raise CenterNotFocus(f"reciprocation center {r.center} is not the focus {c.focus}")
     poles = []
-    for alpha, line in _sampled_tangents(c, samples):
+    for alpha, line in _sampled_tangents(c, _SAMPLES):
         for _ in range(4):
             try:
                 poles.append(pole_of(r, line))
@@ -102,7 +99,7 @@ def dual_conic(
         abs(math.hypot(p.x - circ.center.x, p.y - circ.center.y) - circ.radius)
         for p in poles
     )
-    if dev > tol * max(1.0, circ.radius):
+    if dev > _FIT_TOL * max(1.0, circ.radius):
         raise ValueError(f"tangent poles deviate from a circle by {dev}")
     if require_focus_inside and distance(r.center, circ.center) >= circ.radius:
         raise FocusOutsideDual("focus outside the dual circle")

@@ -33,6 +33,10 @@ class NonpositiveT(GeometryError):
     pass
 
 
+class NonFiniteParameter(GeometryError):
+    """A pencil parameter p or t that is infinite or NaN."""
+
+
 class AsymptoticDirection(GeometryError):
     """Focal ray parallel to an asymptote; the radius is unbounded."""
 

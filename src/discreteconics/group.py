@@ -18,6 +18,8 @@ from .kernel import intersect_lines, line_through
 from .pencil import Circle, pencil_member, point_at, tangent_at, tangency_residual
 from .polygon import DiscreteConic, synthesize
 
+_CORRESPONDENCE_TOL = 1e-9  # largest relative vertex distance act_on_discrete accepts
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -75,7 +77,7 @@ def image(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
     return synthesize(d.p, act_on_parameter(e, d.t), d.theta, d.phi + psi / 2.0, d.n)
 
 
-def act_on_discrete(e: GroupElement, d: DiscreteConic, tol: float = 1e-9) -> DiscreteConic:
+def act_on_discrete(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
     """image(e, d), with its vertex correspondence checked where it is known.
 
     When the acted angle is an integer multiple k of the polygon's own theta,
@@ -92,14 +94,14 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic, tol: float = 1e-9) -> Dis
     ratio = psi / d.theta
     k = round(ratio)
     if k >= 1 and abs(ratio - k) < 1e-9:
-        _verify_correspondence(e, d, out, kind, k, tol)
+        _verify_correspondence(d, out, kind, k)
         out = replace(out, meta={**out.meta, "vertex_correspondence": "verified", "k": k})
     else:
         out = replace(out, meta={**out.meta, "vertex_correspondence": "not_asserted"})
     return out
 
 
-def _verify_correspondence(e, d, out, kind, k, tol):
+def _verify_correspondence(d, out, kind, k):
     carrier = pencil_member(d.p, d.t)
     worst = 0.0
     for j in range(d.n):
@@ -114,5 +116,5 @@ def _verify_correspondence(e, d, out, kind, k, tol):
             chord = line_through(point_at(carrier, a1), point_at(carrier, a2))
             worst = max(worst, chord.distance_to(v) / max(1.0, math.hypot(v.x, v.y)))
             worst = max(worst, tangency_residual(out.carrier, chord))
-    if worst > tol:
+    if worst > _CORRESPONDENCE_TOL:
         raise ValueError(f"vertex correspondence failed with residual {worst}")

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AsymptoticDirection,
     DegenerateP,
+    NonFiniteParameter,
     NonpositiveT,
     OnExcludedLine,
     ParabolaMember,
@@ -102,6 +103,8 @@ def check_p(p: float) -> None:
 
 
 def pencil_member(p: float, t: float) -> FocalConic:
+    if not (math.isfinite(p) and math.isfinite(t)):
+        raise NonFiniteParameter(f"p and t must be finite, got p = {p}, t = {t}")
     check_p(p)
     if t <= 0.0:
         raise NonpositiveT(f"pencil parameter t must be positive, got {t}")

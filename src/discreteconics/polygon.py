@@ -36,16 +36,21 @@ _CLOSURE_EPS = 1e-9
 @dataclass(frozen=True)
 class DiscreteConic:
     """Polygon V_1..V_n on the (p, t) pencil member with vertex j at focal
-    angle phi + (j-1)*theta measured from the focus (-p, 0)."""
+    angle phi + (j-1)*theta measured from the focus (-p, 0); n and closed
+    are derived from the vertices and theta, never passed."""
 
     p: float
     t: float
     theta: float
     phi: float
-    n: int
-    closed: bool
+    n: int = field(init=False)
+    closed: bool = field(init=False)
     vertices: tuple[Point, ...]
     meta: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", len(self.vertices))
+        object.__setattr__(self, "closed", _is_closed(self.n, self.theta))
 
     @property
     def carrier(self) -> FocalConic:
@@ -98,7 +103,7 @@ def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> Discrete
     _check_theta_n(theta, n)
     c = pencil_member(p, t)
     verts = tuple(point_at(c, phi + j * theta) for j in range(n))
-    return DiscreteConic(c.p, c.t, theta, phi, n, _is_closed(n, theta), verts)
+    return DiscreteConic(c.p, c.t, theta, phi, verts)
 
 
 def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> DiscreteConic:
@@ -122,7 +127,7 @@ def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> Discrete
                 (p * p - 1.0) * math.sin(psi) / denom,
             )
         )
-    return DiscreteConic(float(p), 1.0, theta, phi, n, _is_closed(n, theta), tuple(verts))
+    return DiscreteConic(float(p), 1.0, theta, phi, tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -159,15 +164,7 @@ def negative_pedal(p: float, theta: float, phi: float, n: int) -> tuple[PedalSca
         lines.append(Line.from_coefficients(nx, ny, -(nx * x.x + ny * x.y)))
     verts = tuple(intersect_lines(lines[j], lines[j + 1]) for j in range(n))
     sec = 1.0 / math.cos(theta / 2.0)
-    poly = DiscreteConic(
-        float(p),
-        sec * sec,
-        theta,
-        phi + 1.5 * theta,
-        n,
-        _is_closed(n, theta),
-        verts,
-    )
+    poly = DiscreteConic(float(p), sec * sec, theta, phi + 1.5 * theta, verts)
     return PedalScaffold(pedal, tuple(samples), tuple(lines)), poly
 
 
@@ -180,13 +177,10 @@ def tangency_points(d: DiscreteConic) -> DiscreteConic:
     if d.n < 2:
         raise ValueError("need at least two vertices")
     inner = d.inner
-    count = d.num_sides
     verts = tuple(
-        point_at(inner, d.phi + j * d.theta + d.theta / 2.0) for j in range(count)
+        point_at(inner, d.phi + j * d.theta + d.theta / 2.0) for j in range(d.num_sides)
     )
-    return DiscreteConic(
-        d.p, inner.t, d.theta, d.phi + d.theta / 2.0, count, _is_closed(count, d.theta), verts
-    )
+    return DiscreteConic(d.p, inner.t, d.theta, d.phi + d.theta / 2.0, verts)
 
 
 def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
@@ -210,7 +204,7 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
     sec_k = 1.0 / math.cos(k * d.theta / 2.0)
     t_layer = d.inner.t * sec_k * sec_k
     phi_layer = focal_parameter(d.p, verts[0])
-    return DiscreteConic(d.p, t_layer, d.theta, phi_layer, d.n, True, verts)
+    return DiscreteConic(d.p, t_layer, d.theta, phi_layer, verts)
 
 
 def opposite_side_intersections(d: DiscreteConic) -> tuple[list[Point], Line]:
@@ -221,22 +215,28 @@ def opposite_side_intersections(d: DiscreteConic) -> tuple[list[Point], Line]:
     circle member every opposite pair is parallel and there is nothing to
     intersect.
     """
+    indexed, line = _indexed_opposite_intersections(d)
+    return [k for _, k in indexed], line
+
+
+def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, Point]], Line]:
+    """(i, K_i) for each opposite pair that meets, and the line through the K_i."""
     if not d.closed:
         raise NotClosed("opposite sides require a closed polygon")
     if d.n % 2 != 0:
         raise GeometryError("opposite sides require an even-sided polygon")
     m = d.n // 2
-    points = []
+    indexed = []
     for i in range(1, m + 1):  # one point per distinct opposite pair
         try:
-            points.append(intersect_lines(d.side(i), d.side(i + m)))
+            indexed.append((i, intersect_lines(d.side(i), d.side(i + m))))
         except ParallelLines:
             continue
-    if len(points) < 2:
+    if len(indexed) < 2:
         raise AllOppositeSidesParallel("all opposite side pairs are parallel")
-    xy = np.array([[pt.x, pt.y] for pt in points])
+    xy = np.array([[pt.x, pt.y] for _, pt in indexed])
     centroid = xy.mean(axis=0)
     _, _, vt = np.linalg.svd(xy - centroid)
     dx, dy = vt[0]  # dominant direction
     line = Line.from_coefficients(-dy, dx, dy * centroid[0] - dx * centroid[1])
-    return points, line
+    return indexed, line

@@ -147,9 +147,9 @@ def render_svg(s: Scene, width: int = 800) -> str:
     if not (s.conics or s.polygons or s.points or s.lines):
         raise EmptyScene("nothing to render")
     box = s.viewbox if s.viewbox is not None else _auto_viewbox(s)
-    if box[2] <= 0 or box[3] <= 0:
-        raise ValueError(f"degenerate viewbox {box}")
     xmin, ymin, w, h = box
+    if not (w > 0 and h > 0 and all(map(math.isfinite, (*box, width * h / w)))):
+        raise ValueError(f"degenerate or non-finite viewbox {box}")
     height = width * h / w
     sw = _fmt(h / 400.0)  # stroke width in world units
     body = []

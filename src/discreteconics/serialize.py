@@ -32,21 +32,22 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
+    """The stated n and closed must agree with the vertices and theta."""
     try:
         d = DiscreteConic(
             p=float(obj["p"]),
             t=float(obj["t"]),
             theta=float(obj["theta"]),
             phi=float(obj["phi"]),
-            n=int(obj["n"]),
-            closed=bool(obj["closed"]),
             vertices=tuple(Point(float(x), float(y)) for x, y in obj["vertices"]),
             meta=dict(obj.get("meta", {})),
         )
+        n, closed = int(obj["n"]), bool(obj["closed"])
     except TypeError as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed polygon: {exc}") from exc
-    if d.n != len(d.vertices):
-        raise MalformedInput(f"n = {d.n} but {len(d.vertices)} vertices given")
+    if (n, closed) != (d.n, d.closed):
+        raise MalformedInput(f"n = {n}, closed = {closed} but the vertices and theta "
+                             f"give n = {d.n}, closed = {d.closed}")
     return d
 
 
@@ -62,19 +63,23 @@ def report_to_dict(r: Report) -> dict:
 
 
 def report_from_dict(obj: dict) -> Report:
+    """The stated max_residual and pass must agree with the residuals."""
     try:
         if not isinstance(obj["residuals"], list):
             raise TypeError("residuals must be a list")
-        return Report(
+        r = Report(
             check=obj["check"],
             residuals=tuple(float(r) for r in obj["residuals"]),
-            max_residual=float(obj["max_residual"]),
             tolerance=float(obj["tolerance"]),
-            passed=bool(obj["pass"]),
             metadata=dict(obj.get("metadata", {})),
         )
+        worst, passed = float(obj["max_residual"]), bool(obj["pass"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed report: {exc!r}") from exc
+    if (repr(worst), passed) != (repr(r.max_residual), r.passed):  # repr: NaN matches NaN
+        raise MalformedInput(f"max_residual = {worst}, pass = {passed} but the residuals "
+                             f"give {r.max_residual}, {r.passed}")
+    return r
 
 
 def conic_to_dict(c: FocalConic) -> dict:

@@ -9,7 +9,7 @@ within the tolerance handed to the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
 from .group import from_angle, image
@@ -36,31 +36,32 @@ from .pencil import (
     tangency_residuals,
     tangent_at,
 )
-from .polygon import DiscreteConic, grid_layer, opposite_side_intersections, tangency_points
+from .polygon import DiscreteConic, _indexed_opposite_intersections, grid_layer, tangency_points
 
 DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Report:
+    """max_residual and passed are derived from the residuals, never passed."""
+
     check: str
     residuals: tuple[float, ...]
-    max_residual: float
+    max_residual: float = field(init=False)
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     metadata: dict
 
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.check}: {status} (max residual {self.max_residual:.3e}, tol {self.tolerance:.1e})"
+    def __post_init__(self):
+        if not self.residuals:
+            raise ValueError("a report needs at least one residual")
+        worst = max(self.residuals)
+        object.__setattr__(self, "max_residual", worst)
+        object.__setattr__(self, "passed", worst <= self.tolerance)
 
 
 def make_report(check: str, residuals, tolerance: float, **metadata) -> Report:
-    residuals = tuple(float(r) for r in residuals)
-    if not residuals:
-        raise ValueError("a report needs at least one residual")
-    worst = max(residuals)
-    return Report(check, residuals, worst, tolerance, worst <= tolerance, metadata)
+    return Report(check, tuple(float(r) for r in residuals), tolerance, metadata)
 
 
 def _line_angle(ux: float, uy: float, vx: float, vy: float) -> float:
@@ -105,25 +106,20 @@ def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e
 
 
 def check_projective_regular(d: DiscreteConic, tol: float = 1e-6) -> Report:
-    """Vertices map onto a regular polygon under the homography fixed by the
-    first four; tested on the remaining n - 4."""
+    """Vertices map onto the regular polygon of the same winding and sense
+    under the homography fixed by the first four; tested on the other n - 4."""
     if not d.closed:
         raise NotClosed("projective regularity is checked on closed polygons")
     if d.n < 5:
         raise ValueError("need n >= 5 so a fifth vertex can test the map")
     w = max(1, d.winding)
-    best = None
-    for orient in (1.0, -1.0):
-        target = [
-            Point(math.cos(orient * 2.0 * math.pi * w * j / d.n),
-                  math.sin(orient * 2.0 * math.pi * w * j / d.n))
-            for j in range(d.n)
-        ]
-        m = projective_from_correspondences(list(d.vertices[:4]), target[:4])
-        residuals = [distance(apply_map(m, d.vertices[j]), target[j]) for j in range(4, d.n)]
-        if best is None or max(residuals) < best[0]:
-            best = (max(residuals), residuals, orient)
-    return make_report("projective_regular", best[1], tol, orientation=best[2], winding=w)
+    target = [
+        Point(math.cos(2.0 * math.pi * w * j / d.n), math.sin(2.0 * math.pi * w * j / d.n))
+        for j in range(d.n)
+    ]
+    m = projective_from_correspondences(list(d.vertices[:4]), target[:4])
+    residuals = [distance(apply_map(m, d.vertices[j]), target[j]) for j in range(4, d.n)]
+    return make_report("projective_regular", residuals, tol, winding=w)
 
 
 def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
@@ -230,19 +226,12 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     """Opposite-side intersections of a closed even-sided polygon are
     collinear on a line perpendicular to the focal axis, and subtend equal
     angles at the shared focus."""
-    points, line = opposite_side_intersections(d)
-    residuals = [line.distance_to(pt) for pt in points]
-    residuals.append(abs(line.b))  # vertical line has direction (0, 1)
     # Angle bookkeeping needs the pair indices: a parallel opposite pair has
     # its intersection at infinity, leaving a gap in the sequence.
+    indexed, line = _indexed_opposite_intersections(d)
+    residuals = [line.distance_to(pt) for _, pt in indexed]
+    residuals.append(abs(line.b))  # vertical line has direction (0, 1)
     f = d.focus
-    m = d.n // 2
-    indexed = []
-    for i in range(1, m + 1):
-        try:
-            indexed.append((i, intersect_lines(d.side(i), d.side(i + m))))
-        except ParallelLines:
-            continue
     for (i1, k1), (i2, k2) in zip(indexed, indexed[1:]):
         # The points may straddle the focus, so compare the angle step
         # between the focal *lines* (modulo pi), not the rays.
@@ -255,7 +244,7 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
             )
         )
     x_at = -line.c / line.a if abs(line.a) > 1e-12 else math.inf
-    return make_report("pascal_line", residuals, tol, line_x=x_at, count=len(points))
+    return make_report("pascal_line", residuals, tol, line_x=x_at, count=len(indexed))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def _skipped(name: str, tol: float, reason: str) -> Report:
-    return Report(name, (0.0,), 0.0, tol, True, {"skipped": reason})
+    return Report(name, (0.0,), tol, {"skipped": reason})
 
 
 def run_checks(d: DiscreteConic, names=None, tol: float = DEFAULT_TOL) -> list[Report]:

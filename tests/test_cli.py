@@ -268,3 +268,56 @@ def test_zero_denominator_angle_is_a_usage_error(argv, capsys):
         main(argv)
     _, err = capsys.readouterr()
     assert exc.value.code == 2 and "invalid parse_angle value" in err
+
+
+NON_FINITE_SCENES = {
+    "conic_p_nan": {"conics": [{"p": math.nan, "t": 1}]},
+    "conic_t_inf": {"conics": [{"p": 0.5, "t": math.inf}]},
+    "viewbox_height_inf": {"conics": [{"p": 0.5, "t": 1}], "viewbox": [0, 0, 1e-320, 1]},
+    "viewbox_nan": {"conics": [{"p": 0.5, "t": 1}], "viewbox": [0, 0, math.nan, 1]},
+    "viewbox_xmin_inf": {"conics": [{"p": 0.5, "t": 1}], "viewbox": [-math.inf, 0, 1, 1]},
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_SCENES)
+def test_non_finite_scene_exits_2_without_a_file(case, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        ["render", "--out", str(target)],
+        stdin_text=json.dumps(NON_FINITE_SCENES[case]),
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+def _contradictory(capsys, case):
+    """Polygon JSON whose stated n or closed disagrees with its vertices and
+    theta.  n = 7 at theta = 2pi/8 is an open chain."""
+    n = 8 if case == "closed_false_on_closed" else 7
+    main(["generate", "--p", "0.5", "--t", "1", "--theta", "2pi/8", "--n", str(n)])
+    obj = json.loads(capsys.readouterr()[0])
+    if case == "closed_true_on_open_chain":
+        obj["closed"] = True
+    elif case == "closed_false_on_closed":
+        obj["closed"] = False
+    else:
+        obj["n"] = 6
+    return obj
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("case", ["closed_true_on_open_chain", "closed_false_on_closed", "n_too_small"])
+def test_contradictory_polygon_json_exits_2(case, command, tmp_path, capsys, monkeypatch):
+    obj = _contradictory(capsys, case)
+    argv = list(SUBCOMMANDS[command])
+    if command == "render":
+        argv.append(str(tmp_path / "figure.svg"))
+    code, out, err = run_cli(
+        argv, stdin_text=json.dumps(obj), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "figure.svg").exists()

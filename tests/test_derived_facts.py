@@ -1,0 +1,311 @@
+"""Each derived fact is stored once and computed once.
+
+A polygon's n and closed and a report's max_residual and passed are derived
+in __post_init__, on every construction route, and JSON that states them
+must agree.  check_projective_regular fits one homography and
+check_pascal_line intersects each opposite pair of sides once; the earlier
+two-fit and two-pass versions are kept below as oracles.
+"""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from discreteconics import kernel, polygon, verify
+from discreteconics.errors import MalformedInput
+from discreteconics.group import from_angle, image
+from discreteconics.kernel import (
+    Point,
+    apply_map,
+    directed_angle,
+    distance,
+    intersect_lines,
+    projective_from_correspondences,
+    wrapped_diff,
+)
+from discreteconics.polygon import (
+    DiscreteConic,
+    closed_form_vertices,
+    grid_layer,
+    negative_pedal,
+    opposite_side_intersections,
+    synthesize,
+    tangency_points,
+)
+from discreteconics.serialize import (
+    polygon_from_dict,
+    polygon_to_dict,
+    report_from_dict,
+    report_to_dict,
+)
+from discreteconics.verify import (
+    Report,
+    check_pascal_line,
+    check_projective_regular,
+    make_report,
+)
+from test_fast_paths import MEMBERS, POLYGONS, _outcome, _polygon
+
+PASCAL_POLYGONS = [(n, w) for n, w in POLYGONS if n % 2 == 0] + [(10, 3), (16, 1)]
+
+
+def reference_check_projective_regular(d, tol=1e-6):
+    """The earlier check: fit a homography at both orientations of the
+    regular target and keep the one with the smaller worst residual."""
+    w = max(1, d.winding)
+    best = None
+    for orient in (1.0, -1.0):
+        target = [
+            Point(math.cos(orient * 2.0 * math.pi * w * j / d.n),
+                  math.sin(orient * 2.0 * math.pi * w * j / d.n))
+            for j in range(d.n)
+        ]
+        m = projective_from_correspondences(list(d.vertices[:4]), target[:4])
+        residuals = [distance(apply_map(m, d.vertices[j]), target[j]) for j in range(4, d.n)]
+        if best is None or max(residuals) < best[0]:
+            best = (max(residuals), residuals, orient)
+    return make_report("projective_regular", best[1], tol, orientation=best[2], winding=w)
+
+
+def reference_check_pascal_line(d, tol=verify.DEFAULT_TOL):
+    """The earlier check: the fitted line from opposite_side_intersections,
+    then every opposite pair intersected a second time for the indices."""
+    points, line = opposite_side_intersections(d)
+    residuals = [line.distance_to(pt) for pt in points]
+    residuals.append(abs(line.b))
+    f = d.focus
+    m = d.n // 2
+    indexed = []
+    for i in range(1, m + 1):
+        try:
+            indexed.append((i, intersect_lines(d.side(i), d.side(i + m))))
+        except kernel.ParallelLines:
+            continue
+    for (i1, k1), (i2, k2) in zip(indexed, indexed[1:]):
+        delta = directed_angle(f, k1, k2)
+        expected = (i2 - i1) * d.theta
+        residuals.append(
+            min(
+                abs(wrapped_diff(delta, expected)),
+                abs(wrapped_diff(delta, expected - math.pi)),
+            )
+        )
+    x_at = -line.c / line.a if abs(line.a) > 1e-12 else math.inf
+    return make_report("pascal_line", residuals, tol, line_x=x_at, count=len(points))
+
+
+# ---------------------------------------------------------------------------
+# Derived polygon fields
+
+CONVEX = synthesize(0.75, 0.5, 2.0 * math.pi / 8, 0.3, 8)
+STAR = synthesize(0.5, 0.8, 2.0 * math.pi * 3 / 7, 0.3, 7)
+OPEN = synthesize(0.5, 0.8, 0.5, 0.3, 6)
+
+# Route -> (polygon, the n and closed its constructor passed before).
+ROUTES = {
+    "synthesize_convex": (CONVEX, 8, True),
+    "synthesize_star": (STAR, 7, True),
+    "synthesize_open_chain": (OPEN, 6, False),
+    "closed_form_vertices": (closed_form_vertices(0.5, 2.0 * math.pi / 6, 0.2, 6), 6, True),
+    "closed_form_vertices_open": (closed_form_vertices(0.5, 0.7, 0.2, 5), 5, False),
+    "negative_pedal": (negative_pedal(0.75, math.pi / 6, 0.0, 12)[1], 12, True),
+    "negative_pedal_open": (negative_pedal(0.75, 0.4, 0.0, 5)[1], 5, False),
+    "tangency_points_closed": (tangency_points(CONVEX), 8, True),
+    "tangency_points_open_chain": (tangency_points(OPEN), 5, False),
+    "grid_layer": (grid_layer(CONVEX, 2), 8, True),
+    "group_image_closed": (image(from_angle("G", 0.4), STAR), 7, True),
+    "group_image_open_chain": (image(from_angle("H", 0.4), OPEN), 6, False),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_derived_n_and_closed_on_every_route(route):
+    d, n, closed = ROUTES[route]
+    assert (d.n, d.closed) == (n, closed)
+    assert d.n == len(d.vertices)
+
+
+def test_n_and_closed_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        DiscreteConic(0.5, 1.0, 0.5, 0.0, 3, False, CONVEX.vertices[:3])
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(CONVEX, closed=False)
+
+
+def test_replace_rederives_n_and_closed():
+    shorter = dataclasses.replace(CONVEX, vertices=CONVEX.vertices[:5])
+    assert (shorter.n, shorter.closed) == (5, False)
+    assert dataclasses.replace(CONVEX, meta={"x": 1}) == CONVEX
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("closed", False), ("n", 7), ("n", 9)],
+)
+def test_polygon_from_dict_rejects_contradictory_keys(key, value):
+    obj = polygon_to_dict(CONVEX)
+    obj[key] = value
+    with pytest.raises(MalformedInput):
+        polygon_from_dict(obj)
+
+
+def test_polygon_from_dict_rejects_closed_open_chain():
+    obj = polygon_to_dict(synthesize(0.5, 1.0, 2.0 * math.pi / 8, 0.0, 7))
+    assert obj["closed"] is False
+    obj["closed"] = True
+    with pytest.raises(MalformedInput, match="closed"):
+        polygon_from_dict(obj)
+
+
+@pytest.mark.parametrize("key", ["n", "closed"])
+def test_polygon_from_dict_still_requires_the_keys(key):
+    obj = polygon_to_dict(CONVEX)
+    del obj[key]
+    with pytest.raises(KeyError):
+        polygon_from_dict(obj)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_polygon_round_trip_on_every_route(route):
+    d = ROUTES[route][0]
+    assert polygon_from_dict(json.loads(json.dumps(polygon_to_dict(d)))) == d
+
+
+# ---------------------------------------------------------------------------
+# Derived report fields
+
+
+def test_report_derives_max_residual_and_passed():
+    r = Report("demo", (1e-10, 3e-9, 2e-9), 1e-8, {})
+    assert (r.max_residual, r.passed) == (3e-9, True)
+    assert not Report("demo", (1e-10, 3e-8), 1e-8, {}).passed
+    with pytest.raises(ValueError):
+        Report("demo", (), 1e-8, {})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_residual", 1e-9), ("max_residual", 0.0), ("pass", False)],
+)
+def test_report_from_dict_rejects_contradictory_keys(key, value):
+    obj = report_to_dict(make_report("poncelet", [1e-10, 2e-10], 1e-8))
+    obj[key] = value
+    with pytest.raises(MalformedInput):
+        report_from_dict(obj)
+
+
+def test_report_from_dict_rejects_pass_above_tolerance():
+    obj = {"check": "poncelet", "residuals": [1e-6], "max_residual": 1e-6,
+           "tolerance": 1e-8, "pass": True}
+    with pytest.raises(MalformedInput, match="pass"):
+        report_from_dict(obj)
+
+
+def test_report_round_trip_with_nan_residual():
+    r = make_report("poncelet", [math.nan, 1e-10], 1e-8)
+    assert math.isnan(r.max_residual) and not r.passed
+    back = report_from_dict(json.loads(json.dumps(report_to_dict(r))))
+    assert math.isnan(back.max_residual) and not back.passed
+
+
+def test_skipped_report_is_derived_too():
+    (r,) = verify.run_checks(OPEN, names=["grid"], tol=1e-5)
+    assert (r.residuals, r.max_residual, r.passed) == ((0.0,), 0.0, True)
+    assert report_from_dict(report_to_dict(r)) == r
+
+
+# ---------------------------------------------------------------------------
+# One homography per projective_regular check
+
+PROJECTIVE_CASES = [
+    pytest.param(p, t, n, w, id=f"{label}-n{n}-w{w}")
+    for label, p, t in MEMBERS
+    for n, w in POLYGONS
+]
+
+
+@pytest.mark.parametrize("p, t, n, w", PROJECTIVE_CASES)
+def test_projective_regular_matches_best_of_two(p, t, n, w):
+    d = _polygon(p, t, n, w)
+    new = _outcome(check_projective_regular, d)
+    ref = _outcome(reference_check_projective_regular, d)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert new.passed == ref.passed
+    assert "orientation" not in new.metadata and new.metadata["winding"] == ref.metadata["winding"]
+    if ref.metadata["orientation"] == 1.0:
+        assert new.residuals == ref.residuals
+
+
+# The two orientations' maps differ by the reflection y -> -y up to rounding:
+# at most 1.0e-12 (unit Frobenius norm) on these members, 6.0e-12 at p = -0.9999.
+REFLECTION_TOL = 1e-10
+
+
+@pytest.mark.parametrize("p, t, n, w", PROJECTIVE_CASES)
+def test_opposite_orientation_map_is_the_reflection(p, t, n, w):
+    d = _polygon(p, t, n, w)
+    maps = []
+    for orient in (1.0, -1.0):
+        target = [
+            Point(math.cos(orient * 2.0 * math.pi * w * j / n),
+                  math.sin(orient * 2.0 * math.pi * w * j / n))
+            for j in range(4)
+        ]
+        maps.append(np.array(projective_from_correspondences(list(d.vertices[:4]), target).m))
+    reflected = np.diag([1.0, -1.0, 1.0]) @ maps[0]
+    assert min(np.max(np.abs(maps[1] - s * reflected)) for s in (1.0, -1.0)) <= REFLECTION_TOL
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n, w", [(7, 1), (12, 1), (13, 3), (240, 7)])
+def test_projective_regular_fits_once(monkeypatch, n, w):
+    calls = []
+    _counting(monkeypatch, verify, "projective_from_correspondences", calls)
+    check_projective_regular(_polygon(0.75, 0.5, n, w))
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# One intersection per opposite pair in pascal_line
+
+
+@pytest.mark.parametrize("n, w", [(8, 1), (12, 1), (10, 3), (240, 1)])
+def test_pascal_line_intersects_each_opposite_pair_once(monkeypatch, n, w):
+    calls = []
+    for module in (polygon, verify):
+        _counting(monkeypatch, module, "intersect_lines", calls)
+    check_pascal_line(_polygon(0.75, 0.5, n, w))
+    assert len(calls) == n // 2
+
+
+@pytest.mark.parametrize(
+    "p, t, n, w",
+    [
+        pytest.param(p, t, n, w, id=f"{label}-n{n}-w{w}")
+        for label, p, t in MEMBERS
+        for n, w in PASCAL_POLYGONS
+    ],
+)
+def test_pascal_line_matches_two_pass_oracle(p, t, n, w):
+    d = _polygon(p, t, n, w)
+    new = _outcome(check_pascal_line, d)
+    ref = _outcome(reference_check_pascal_line, d)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert new.residuals == ref.residuals
+    assert new.metadata == ref.metadata and new.passed == ref.passed

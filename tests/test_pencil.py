@@ -8,6 +8,8 @@ import pytest
 from discreteconics.errors import (
     AsymptoticDirection,
     DegenerateP,
+    GeometryError,
+    NonFiniteParameter,
     NonpositiveT,
     OnExcludedLine,
     ParabolaMember,
@@ -171,3 +173,10 @@ def test_pedal_circle_ellipse_is_auxiliary():
 def test_pedal_circle_parabola_rejected():
     with pytest.raises(ParabolaMember):
         pedal_circle(pencil_member(0.75, 16.0 / 9.0))
+
+
+@pytest.mark.parametrize("p, t", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0), (0.5, math.nan)])
+def test_pencil_member_rejects_non_finite_parameters(p, t):
+    with pytest.raises(NonFiniteParameter):
+        pencil_member(p, t)
+    assert issubclass(NonFiniteParameter, GeometryError)

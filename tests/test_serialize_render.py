@@ -129,3 +129,13 @@ def test_render_empty_scene():
 def test_render_degenerate_viewbox():
     with pytest.raises(ValueError):
         render_svg(Scene(polygons=(SQUARE,), viewbox=(0.0, 0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "viewbox",
+    [(0.0, 0.0, 1e-320, 1.0), (0.0, 0.0, math.nan, 1.0), (math.inf, 0.0, 1.0, 1.0),
+     (0.0, 0.0, 1.0, math.inf)],
+)
+def test_render_non_finite_viewbox(viewbox):
+    with pytest.raises(ValueError):
+        render_svg(Scene(polygons=(SQUARE,), viewbox=viewbox))
