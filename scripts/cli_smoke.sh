@@ -47,5 +47,8 @@ expect 2 "echo '{\"conics\": 5}' | $dc render --out scene.svg"
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 7 | sed 's/\"closed\": false/\"closed\": true/' | $dc verify"
 expect 2 "echo '{\"conics\": [{\"p\": NaN, \"t\": 1}]}' | $dc render --out nan.svg"
 [ -e nan.svg ] && { echo "FAIL render wrote nan.svg"; status=1; }
+# A polygon with no vertices.
+expect 2 "echo '{\"p\": 0.5, \"t\": 1, \"theta\": 1, \"phi\": 0, \"n\": 0, \"closed\": true, \"vertices\": []}' | $dc render --out e.svg"
+[ -e e.svg ] && { echo "FAIL render wrote e.svg"; status=1; }
 
 exit $status

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     CoincidentPoints,
     DegenerateConfiguration,
@@ -120,6 +118,26 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return Point(x, y)
 
 
+def _centroid(points: list[Point]) -> tuple[float, float]:
+    return sum(p.x for p in points) / len(points), sum(p.y for p in points) / len(points)
+
+
+def total_least_squares_line(points: list[Point]) -> Line:
+    """Line minimizing the sum of squared distances to the points.
+
+    It passes through the centroid along the principal axis of the centred
+    2x2 scatter matrix [[Sxx, Sxy], [Sxy, Syy]], whose direction angle is
+    atan2(2 Sxy, Sxx - Syy) / 2.
+    """
+    cx, cy = _centroid(points)
+    sxx = sum((p.x - cx) ** 2 for p in points)
+    syy = sum((p.y - cy) ** 2 for p in points)
+    sxy = sum((p.x - cx) * (p.y - cy) for p in points)
+    half = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    dx, dy = math.cos(half), math.sin(half)
+    return Line.from_coefficients(-dy, dx, dy * cx - dx * cy)
+
+
 def foot_perpendicular(p: Point, line: Line) -> Point:
     d = line.signed_distance_to(p)
     return Point(p.x - d * line.a, p.y - d * line.b)
@@ -152,17 +170,42 @@ def _triangle_area_residual(a: Point, b: Point, c: Point) -> float:
 class ProjectiveMap:
     """3x3 homogeneous map; matrices proportional to each other are equal maps.
 
-    Rows are tuples of plain floats, so applying the map needs no numpy.
+    Rows are tuples of plain floats, scaled to unit Frobenius norm; any 3x3
+    nested sequence of numbers is accepted.
     """
 
     m: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        norm = np.linalg.norm(m)
-        if norm == 0.0 or abs(np.linalg.det(m / norm)) < DEGENERACY_EPS:
+        rows = [[float(v) for v in row] for row in self.m]
+        norm = math.hypot(*(v for row in rows for v in row))
+        if norm == 0.0:
+            raise DegenerateConfiguration("zero projective map")
+        m = tuple(tuple(v / norm for v in row) for row in rows)
+        if abs(_det3(m)) < DEGENERACY_EPS:
             raise DegenerateConfiguration("singular projective map")
-        object.__setattr__(self, "m", tuple(map(tuple, (m / norm).tolist())))
+        object.__setattr__(self, "m", m)
+
+
+def _det3(m) -> float:
+    """Cofactor expansion of a 3x3 determinant along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _adjugate3(m) -> tuple[tuple[float, float, float], ...]:
+    """adj(m) = det(m) * inverse(m), defined for singular m too."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
+def _matmul3(x, y) -> tuple[tuple[float, float, float], ...]:
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in cols) for row in x)
 
 
 def _any_three_collinear(points: list[Point]) -> bool:
@@ -174,25 +217,43 @@ def _any_three_collinear(points: list[Point]) -> bool:
     return False
 
 
+def _hartley(points: list[Point]) -> tuple[list[tuple[float, float]], float, float, float]:
+    """The points moved so that their centroid (cx, cy) is the origin and
+    their mean distance from it is sqrt(2): s * (p - c), with the scale s."""
+    cx, cy = _centroid(points)
+    s = math.sqrt(2.0) * len(points) / sum(math.hypot(p.x - cx, p.y - cy) for p in points)
+    return [(s * (p.x - cx), s * (p.y - cy)) for p in points], s, cx, cy
+
+
+def _projective_basis(xy: list[tuple[float, float]]) -> tuple[tuple[float, float, float], ...]:
+    """Matrix sending the standard projective basis to the four points: its
+    columns are lambda_k * (x_k, y_k, 1), k = 1..3, and sum to (x_4, y_4, 1)."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = xy
+    p = ((x1, x2, x3), (y1, y2, y3), (1.0, 1.0, 1.0))
+    lam = [u * x4 + v * y4 + w for u, v, w in _adjugate3(p)]  # det(p) * p^-1 (x4, y4, 1)
+    return tuple((a * lam[0], b * lam[1], c * lam[2]) for a, b, c in p)
+
+
 def projective_from_correspondences(src: list[Point], dst: list[Point]) -> ProjectiveMap:
     """Unique homography sending four source points to four destination points.
 
-    Solved as the null vector of the standard 8x9 direct linear system; the
-    four-point problem is exactly determined, so the smallest singular vector
-    is the map.
+    With A and B the projective-basis matrices of the source and destination
+    points, the map is B * adj(A).  Both point sets are Hartley-normalized
+    first (matrices T_s and T_d) and the map is T_d^-1 * B * adj(A) * T_s;
+    unnormalized, the rounding of the basis matrices grows with the spread
+    of the coordinates and breaks the 1e-6 projective-regularity floor on
+    polygons of several hundred vertices.
     """
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("exactly four correspondences required")
     if _any_three_collinear(src) or _any_three_collinear(dst):
         raise DegenerateConfiguration("three of the four points are collinear")
-    rows = []
-    for s, d in zip(src, dst):
-        x, y = s.x, s.y
-        u, v = d.x, d.y
-        rows.append([x, y, 1, 0, 0, 0, -u * x, -u * y, -u])
-        rows.append([0, 0, 0, x, y, 1, -v * x, -v * y, -v])
-    _, _, vt = np.linalg.svd(np.array(rows, dtype=float))
-    return ProjectiveMap(vt[-1].reshape(3, 3))
+    src_xy, ss, sx, sy = _hartley(src)
+    dst_xy, ds, dx, dy = _hartley(dst)
+    t_src = ((ss, 0.0, -ss * sx), (0.0, ss, -ss * sy), (0.0, 0.0, 1.0))
+    t_dst_inv = ((1.0 / ds, 0.0, dx), (0.0, 1.0 / ds, dy), (0.0, 0.0, 1.0))
+    h = _matmul3(_projective_basis(dst_xy), _adjugate3(_projective_basis(src_xy)))
+    return ProjectiveMap(_matmul3(t_dst_inv, _matmul3(h, t_src)))
 
 
 def apply_map(m: ProjectiveMap, p: Point) -> Point:

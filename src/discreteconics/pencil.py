@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AsymptoticDirection,
     DegenerateP,
@@ -222,6 +220,8 @@ def normalized_adjugate(c: FocalConic) -> tuple[tuple[float, float, float], ...]
 
 def fit_circle(points: list[Point]) -> Circle:
     """Algebraic least-squares circle through the given points."""
+    import numpy as np  # here only: no command-line path fits a circle
+
     if len(points) < 3:
         raise ValueError("need at least three points to fit a circle")
     xy = np.array([[p.x, p.y] for p in points])

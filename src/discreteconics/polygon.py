@@ -25,10 +25,9 @@ from .kernel import (
     intersect_lines,
     line_through,
     normalize_angle,
+    total_least_squares_line,
 )
 from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at
-
-import numpy as np
 
 _CLOSURE_EPS = 1e-9
 
@@ -234,9 +233,4 @@ def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, P
             continue
     if len(indexed) < 2:
         raise AllOppositeSidesParallel("all opposite side pairs are parallel")
-    xy = np.array([[pt.x, pt.y] for _, pt in indexed])
-    centroid = xy.mean(axis=0)
-    _, _, vt = np.linalg.svd(xy - centroid)
-    dx, dy = vt[0]  # dominant direction
-    line = Line.from_coefficients(-dy, dx, dy * centroid[0] - dx * centroid[1])
-    return indexed, line
+    return indexed, total_least_squares_line([pt for _, pt in indexed])

@@ -32,7 +32,8 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
-    """The stated n and closed must agree with the vertices and theta."""
+    """At least three vertices; the stated n and closed must agree with the
+    vertices and theta."""
     try:
         d = DiscreteConic(
             p=float(obj["p"]),
@@ -45,6 +46,8 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
         n, closed = int(obj["n"]), bool(obj["closed"])
     except TypeError as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed polygon: {exc}") from exc
+    if d.n < 3:
+        raise MalformedInput(f"a polygon needs at least three vertices, got {d.n}")
     if (n, closed) != (d.n, d.closed):
         raise MalformedInput(f"n = {n}, closed = {closed} but the vertices and theta "
                              f"give n = {d.n}, closed = {d.closed}")

@@ -55,7 +55,8 @@ class Report:
     def __post_init__(self):
         if not self.residuals:
             raise ValueError("a report needs at least one residual")
-        worst = max(self.residuals)
+        # max() skips a NaN unless it comes first; any NaN makes the report fail.
+        worst = math.nan if any(map(math.isnan, self.residuals)) else max(self.residuals)
         object.__setattr__(self, "max_residual", worst)
         object.__setattr__(self, "passed", worst <= self.tolerance)
 

@@ -321,3 +321,24 @@ def test_contradictory_polygon_json_exits_2(case, command, tmp_path, capsys, mon
     assert code == 2 and out == ""
     assert "error" in err and "Traceback" not in err
     assert not (tmp_path / "figure.svg").exists()
+
+
+# Vertex counts below three, with n and closed stated consistently
+# (theta = 1: zero vertices make a closed polygon, one or two an open chain).
+SHORT_POLYGONS = {0: True, 1: False, 2: False}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("count", SHORT_POLYGONS)
+def test_polygon_with_fewer_than_three_vertices_exits_2(count, command, tmp_path, capsys, monkeypatch):
+    obj = {"p": 0.5, "t": 1, "theta": 1, "phi": 0, "n": count, "closed": SHORT_POLYGONS[count],
+           "vertices": [[0.5 + j, 0.25] for j in range(count)]}
+    argv = list(SUBCOMMANDS[command])
+    if command == "render":
+        argv.append(str(tmp_path / "figure.svg"))
+    code, out, err = run_cli(
+        argv, stdin_text=json.dumps(obj), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert "three vertices" in err and "Traceback" not in err
+    assert not (tmp_path / "figure.svg").exists()

@@ -309,3 +309,24 @@ def test_pascal_line_matches_two_pass_oracle(p, t, n, w):
         return
     assert new.residuals == ref.residuals
     assert new.metadata == ref.metadata and new.passed == ref.passed
+
+
+# ---------------------------------------------------------------------------
+# A NaN residual anywhere fails the report
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[1e-10, math.nan], [math.nan, 1e-10], [0.0, math.nan, 1e-12], [math.nan], [math.nan, math.inf]],
+)
+def test_nan_residual_fails_the_report(residuals):
+    r = make_report("x", residuals, 1e-8)
+    assert math.isnan(r.max_residual) and r.passed is False
+    back = report_from_dict(json.loads(json.dumps(report_to_dict(r))))
+    assert math.isnan(back.max_residual) and back.passed is False
+
+
+def test_report_without_nan_keeps_its_maximum():
+    r = make_report("x", [1e-10, 3e-9, math.inf], 1e-8)
+    assert r.max_residual == math.inf and r.passed is False
+    assert make_report("x", [1e-10, 3e-9], 1e-8).max_residual == 3e-9
