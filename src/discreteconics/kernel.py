@@ -182,15 +182,10 @@ class ProjectiveMap:
         if norm == 0.0:
             raise DegenerateConfiguration("zero projective map")
         m = tuple(tuple(v / norm for v in row) for row in rows)
-        if abs(_det3(m)) < DEGENERACY_EPS:
+        adj = _adjugate3(m)
+        if abs(sum(m[0][k] * adj[k][0] for k in range(3))) < DEGENERACY_EPS:
             raise DegenerateConfiguration("singular projective map")
         object.__setattr__(self, "m", m)
-
-
-def _det3(m) -> float:
-    """Cofactor expansion of a 3x3 determinant along the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _adjugate3(m) -> tuple[tuple[float, float, float], ...]:

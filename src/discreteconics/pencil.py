@@ -25,7 +25,7 @@ from .errors import (
     OnExcludedLine,
     ParabolaMember,
 )
-from .kernel import DEGENERACY_EPS, Line, Point
+from .kernel import DEGENERACY_EPS, Line, Point, _adjugate3, _centroid
 
 # Half-width of the |eccentricity| = 1 band treated as a parabola.
 _CLASSIFY_EPS = 1e-12
@@ -219,20 +219,28 @@ def normalized_adjugate(c: FocalConic) -> tuple[tuple[float, float, float], ...]
 
 
 def fit_circle(points: list[Point]) -> Circle:
-    """Algebraic least-squares circle through the given points."""
-    import numpy as np  # here only: no command-line path fits a circle
+    """Algebraic least-squares circle through the given points.
 
+    Solves the normal equations of x^2 + y^2 + d*x + e*y + g = 0 in
+    coordinates centred on the points' centroid, which keeps the 3x3 system
+    well conditioned far from the origin.
+    """
     if len(points) < 3:
         raise ValueError("need at least three points to fit a circle")
-    xy = np.array([[p.x, p.y] for p in points])
-    a = np.column_stack([xy[:, 0], xy[:, 1], np.ones(len(points))])
-    b = -(xy[:, 0] ** 2 + xy[:, 1] ** 2)
-    (d, e, g), *_ = np.linalg.lstsq(a, b, rcond=None)
+    mx, my = _centroid(points)
+    rows = [(p.x - mx, p.y - my, 1.0) for p in points]
+    ata = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    atb = [-sum(r[i] * (r[0] * r[0] + r[1] * r[1]) for r in rows) for i in range(3)]
+    adj = _adjugate3(ata)
+    det = sum(ata[0][k] * adj[k][0] for k in range(3))
+    if det == 0.0:
+        raise ValueError("degenerate circle fit")
+    d, e, g = (sum(a * b for a, b in zip(row, atb)) / det for row in adj)
     cx, cy = -d / 2.0, -e / 2.0
     r2 = cx * cx + cy * cy - g
     if r2 <= 0.0:
         raise ValueError("degenerate circle fit")
-    return Circle(Point(cx, cy), math.sqrt(r2))
+    return Circle(Point(mx + cx, my + cy), math.sqrt(r2))
 
 
 def _sampled_tangents(c: FocalConic, count: int) -> list[tuple[float, Line]]:
