@@ -50,5 +50,7 @@ expect 2 "echo '{\"conics\": [{\"p\": NaN, \"t\": 1}]}' | $dc render --out nan.s
 # A polygon with no vertices.
 expect 2 "echo '{\"p\": 0.5, \"t\": 1, \"theta\": 1, \"phi\": 0, \"n\": 0, \"closed\": true, \"vertices\": []}' | $dc render --out e.svg"
 [ -e e.svg ] && { echo "FAIL render wrote e.svg"; status=1; }
+# Polygon JSON with theta outside (0, pi), which generate would reject.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"theta\": [^,]*/\"theta\": 0.0/' | $dc grid --k 2"
 
 exit $status

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AngleOutOfRange, FormulaPole, NotClosed, AllOppositeSidesParallel, ParallelLines, GeometryError
 from .kernel import (
@@ -36,7 +37,11 @@ _CLOSURE_EPS = 1e-9
 class DiscreteConic:
     """Polygon V_1..V_n on the (p, t) pencil member with vertex j at focal
     angle phi + (j-1)*theta measured from the focus (-p, 0); n and closed
-    are derived from the vertices and theta, never passed."""
+    are derived from the vertices and theta, never passed.
+
+    The side lines (sides) and the tangency polygon (tangency) are built on
+    first use and cached per instance, outside the fields: equality, repr and
+    JSON never see them, and dataclasses.replace gives a fresh cache."""
 
     p: float
     t: float
@@ -77,9 +82,34 @@ class DiscreteConic:
             raise IndexError(f"vertex index {j} out of range for an open chain")
         return self.vertices[j - 1]
 
+    @cached_property
+    def sides(self) -> tuple[Line, ...]:
+        """Side lines S_1..S_num_sides, built once per instance."""
+        return tuple(
+            line_through(self.vertex(i), self.vertex(i + 1)) for i in range(1, self.num_sides + 1)
+        )
+
     def side(self, i: int) -> Line:
-        """Side line S_i through V_i and V_{i+1} (1-based, wrapping)."""
-        return line_through(self.vertex(i), self.vertex(i + 1))
+        """Side line S_i through V_i and V_{i+1} (1-based, wrapping for closed
+        polygons), read from sides: cached per instance, and fresh on a copy
+        made with dataclasses.replace."""
+        if self.closed:
+            return self.sides[(i - 1) % self.n]
+        if not 1 <= i <= self.num_sides:
+            raise IndexError(f"side index {i} out of range for an open chain")
+        return self.sides[i - 1]
+
+    @cached_property
+    def tangency(self) -> DiscreteConic:
+        """The tangency polygon, built once per instance; see tangency_points."""
+        if self.n < 2:
+            raise ValueError("need at least two vertices")
+        inner = self.inner
+        half = self.theta / 2.0
+        verts = tuple(
+            point_at(inner, self.phi + j * self.theta + half) for j in range(self.num_sides)
+        )
+        return DiscreteConic(self.p, inner.t, self.theta, self.phi + half, verts)
 
     @property
     def num_sides(self) -> int:
@@ -171,15 +201,11 @@ def tangency_points(d: DiscreteConic) -> DiscreteConic:
     """Contact points of the side lines with the inscribed member.
 
     M_j sits on the t*cos^2(theta/2) member at focal angle
-    phi + (j-1)*theta + theta/2, midway between the incident vertices.
+    phi + (j-1)*theta + theta/2, midway between the incident vertices.  The
+    polygon is cached on d (d.tangency): every call on one instance returns
+    the same object, and dataclasses.replace gives a fresh cache.
     """
-    if d.n < 2:
-        raise ValueError("need at least two vertices")
-    inner = d.inner
-    verts = tuple(
-        point_at(inner, d.phi + j * d.theta + d.theta / 2.0) for j in range(d.num_sides)
-    )
-    return DiscreteConic(d.p, inner.t, d.theta, d.phi + d.theta / 2.0, verts)
+    return d.tangency
 
 
 def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
@@ -193,8 +219,9 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
         raise NotClosed("grid layers are defined for closed polygons")
     if not 1 <= k <= d.n - 2:
         raise ValueError(f"k must lie in [1, n-2], got {k}")
+    s = d.sides
     try:
-        verts = tuple(intersect_lines(d.side(i), d.side(i + k)) for i in range(1, d.n + 1))
+        verts = tuple(intersect_lines(s[i], s[(i + k) % d.n]) for i in range(d.n))
     except ParallelLines:
         raise ParallelLines(
             f"side lines {k} apart are parallel; for opposite sides use "
@@ -225,10 +252,11 @@ def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, P
     if d.n % 2 != 0:
         raise GeometryError("opposite sides require an even-sided polygon")
     m = d.n // 2
+    s = d.sides
     indexed = []
     for i in range(1, m + 1):  # one point per distinct opposite pair
         try:
-            indexed.append((i, intersect_lines(d.side(i), d.side(i + m))))
+            indexed.append((i, intersect_lines(s[i - 1], s[i - 1 + m])))
         except ParallelLines:
             continue
     if len(indexed) < 2:

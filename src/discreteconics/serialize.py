@@ -8,6 +8,7 @@ and goldens are stable across platforms.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import MalformedInput
 from .kernel import Point
@@ -32,8 +33,9 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
-    """At least three vertices; the stated n and closed must agree with the
-    vertices and theta."""
+    """At least three vertices, theta in (0, pi) and a finite phi, as every
+    constructor gives; the stated n and closed must agree with the vertices
+    and theta."""
     try:
         d = DiscreteConic(
             p=float(obj["p"]),
@@ -48,6 +50,10 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
         raise MalformedInput(f"malformed polygon: {exc}") from exc
     if d.n < 3:
         raise MalformedInput(f"a polygon needs at least three vertices, got {d.n}")
+    if not 0.0 < d.theta < math.pi:
+        raise MalformedInput(f"theta must lie in (0, pi), got {d.theta}")
+    if not math.isfinite(d.phi):
+        raise MalformedInput(f"phi must be finite, got {d.phi}")
     if (n, closed) != (d.n, d.closed):
         raise MalformedInput(f"n = {n}, closed = {closed} but the vertices and theta "
                              f"give n = {d.n}, closed = {d.closed}")

@@ -127,7 +127,7 @@ def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     """Every side line is tangent to the inscribed pencil member, so the
     polygon is inscribed in one focus-sharing conic and circumscribes another."""
     inner = d.inner
-    residuals = tangency_residuals(inner, [d.side(i) for i in range(1, d.num_sides + 1)])
+    residuals = tangency_residuals(inner, d.sides)
     return make_report("poncelet", residuals, tol, inner_t=inner.t)
 
 

@@ -1,0 +1,103 @@
+"""The side lines and the tangency polygon are built once per polygon.
+
+DiscreteConic caches both on first use.  These tests count the builds over
+one run_checks plus grid_layer, and check that the caches never leak: not
+into a copy made with dataclasses.replace, and not into equality, repr,
+hashing or JSON.
+"""
+
+import json
+import math
+from dataclasses import replace
+
+import pytest
+
+from discreteconics import polygon
+from discreteconics.kernel import Point, line_through
+from discreteconics.polygon import grid_layer, synthesize, tangency_points
+from discreteconics.serialize import deserialize, polygon_to_dict, serialize
+from discreteconics.verify import check_isogonal, check_poncelet, run_checks
+
+
+def _closed(n, p=0.75, t=0.5):
+    return synthesize(p, t, 2.0 * math.pi / n, 0.3, n)
+
+
+@pytest.mark.parametrize("n", [240, 480, 241])
+def test_one_run_builds_each_side_and_tangency_point_once(n, monkeypatch):
+    d = _closed(n)
+    inner = d.inner
+    counts = {"line_through": 0, "inner_point_at": 0}
+    real_line_through, real_point_at = polygon.line_through, polygon.point_at
+
+    def counted_line_through(*args):
+        counts["line_through"] += 1
+        return real_line_through(*args)
+
+    def counted_point_at(c, alpha):
+        if (c.p, c.t) == (inner.p, inner.t):
+            counts["inner_point_at"] += 1
+        return real_point_at(c, alpha)
+
+    monkeypatch.setattr(polygon, "line_through", counted_line_through)
+    monkeypatch.setattr(polygon, "point_at", counted_point_at)
+    run_checks(d)
+    grid_layer(d, 2)
+    assert counts == {"line_through": d.num_sides, "inner_point_at": n}
+
+
+def test_replace_gives_fresh_caches_and_perturbations_still_fail():
+    base = _closed(8, 0.6, 0.8)
+    assert run_checks(base)  # fills both caches
+    sides, tangency = base.sides, tangency_points(base)
+    vs = list(base.vertices)
+    vs[0] = Point(vs[0].x + 1e-3, vs[0].y)
+    perturbed = replace(base, vertices=tuple(vs))
+    assert perturbed.sides is not sides and tangency_points(perturbed) is not tangency
+    assert perturbed.sides[0] == line_through(vs[0], vs[1]) != sides[0]
+    assert perturbed.sides[1:-1] == sides[1:-1]
+    assert not check_poncelet(perturbed).passed
+    assert not check_isogonal(perturbed, 1, 3).passed
+    assert check_poncelet(base).passed and check_isogonal(base, 1, 3).passed
+
+    moved = replace(base, t=base.t * 1.01)
+    assert tangency_points(moved).vertices == tangency_points(_closed(8, 0.6, base.t * 1.01)).vertices
+    assert tangency_points(moved).vertices != tangency.vertices
+
+
+def test_caches_stay_out_of_equality_repr_and_json():
+    cached = _closed(12)
+    run_checks(cached)
+    grid_layer(cached, 2)
+    assert {"sides", "tangency"} <= set(vars(cached))
+    fresh = _closed(12)
+    assert not {"sides", "tangency"} & set(vars(fresh))
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    assert polygon_to_dict(cached) == polygon_to_dict(fresh)
+    text = serialize(cached)
+    assert text == serialize(fresh) and set(json.loads(text)) == {
+        "p", "t", "theta", "phi", "n", "closed", "vertices"}
+    back = deserialize(text)
+    assert back == cached and not {"sides", "tangency"} & set(vars(back))
+
+
+def test_side_indexing_over_the_cache():
+    chain = synthesize(0.5, 1.0, 1.0, 0.0, 5)
+    assert not chain.closed and len(chain.sides) == 4
+    for i in range(1, 5):
+        assert chain.side(i) == line_through(chain.vertex(i), chain.vertex(i + 1))
+    for i in (0, 5, -1):
+        with pytest.raises(IndexError):
+            chain.side(i)
+    closed = _closed(7)
+    assert closed.side(8) is closed.side(1) and closed.side(0) is closed.side(7)
+    assert closed.side(-6) is closed.side(1)
+
+
+def test_tangency_points_is_cached_per_instance():
+    d = _closed(9)
+    assert tangency_points(d) is tangency_points(d) is d.tangency
+    few = replace(d, vertices=d.vertices[:1])
+    with pytest.raises(ValueError, match="two vertices"):
+        tangency_points(few)

@@ -342,3 +342,35 @@ def test_polygon_with_fewer_than_three_vertices_exits_2(count, command, tmp_path
     assert code == 2 and out == ""
     assert "three vertices" in err and "Traceback" not in err
     assert not (tmp_path / "figure.svg").exists()
+
+
+# Polygon JSON with theta outside (0, pi) or a non-finite phi, with n and
+# closed stated consistently; generate and transform reject such a theta, so
+# no command may accept it.  (key, value, closed) on the 8-vertex polygon.
+BAD_ANGLES = {
+    "theta_zero": ("theta", 0.0, True),
+    "theta_pi": ("theta", math.pi, True),
+    "theta_above_2pi": ("theta", 2.0 * math.pi + math.pi / 4, True),
+    "theta_negative": ("theta", -math.pi / 4, True),
+    "theta_nan": ("theta", math.nan, False),
+    "phi_inf": ("phi", math.inf, True),
+    "phi_nan": ("phi", math.nan, True),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("case", BAD_ANGLES)
+def test_polygon_angle_out_of_range_exits_2(case, command, tmp_path, capsys, monkeypatch):
+    obj = _generated(capsys)
+    key, value, closed = BAD_ANGLES[case]
+    obj[key] = value
+    obj["closed"] = closed
+    argv = list(SUBCOMMANDS[command])
+    if command == "render":
+        argv.append(str(tmp_path / "figure.svg"))
+    code, out, err = run_cli(
+        argv, stdin_text=json.dumps(obj), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert f"{key} must" in err and "Traceback" not in err
+    assert not (tmp_path / "figure.svg").exists()
