@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import AngleOutOfRange, NonpositiveT
-from .kernel import intersect_lines, line_through
-from .pencil import Circle, pencil_member, point_at, tangent_at, tangency_residual
+from .kernel import distance, intersect_lines, line_through
+from .pencil import Circle, point_at, tangent_at, tangency_residuals
 from .polygon import DiscreteConic, synthesize
 
 _CORRESPONDENCE_TOL = 1e-9  # largest relative vertex distance act_on_discrete accepts
@@ -89,32 +89,31 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
     """
     kind, psi = as_angle(e)
     out = image(e, d)
-    if psi < 1e-15:
-        return replace(out, meta={**out.meta, "vertex_correspondence": "identity"})
     ratio = psi / d.theta
     k = round(ratio)
-    if k >= 1 and abs(ratio - k) < 1e-9:
+    if psi < 1e-15:
+        meta = {"vertex_correspondence": "identity"}
+    elif k >= 1 and abs(ratio - k) < 1e-9:
         _verify_correspondence(d, out, kind, k)
-        out = replace(out, meta={**out.meta, "vertex_correspondence": "verified", "k": k})
+        meta = {"vertex_correspondence": "verified", "k": k}
     else:
-        out = replace(out, meta={**out.meta, "vertex_correspondence": "not_asserted"})
-    return out
+        meta = {"vertex_correspondence": "not_asserted"}
+    return replace(out, meta=meta)
 
 
 def _verify_correspondence(d, out, kind, k):
-    carrier = pencil_member(d.p, d.t)
-    worst = 0.0
-    for j in range(d.n):
-        a1 = d.phi + j * d.theta
-        a2 = a1 + k * d.theta
-        v = out.vertices[j]
-        if kind == "G":
-            z = intersect_lines(tangent_at(carrier, a1), tangent_at(carrier, a2))
-            scale = max(1.0, math.hypot(z.x, z.y))
-            worst = max(worst, math.hypot(z.x - v.x, z.y - v.y) / scale)
-        else:
-            chord = line_through(point_at(carrier, a1), point_at(carrier, a2))
-            worst = max(worst, chord.distance_to(v) / max(1.0, math.hypot(v.x, v.y)))
-            worst = max(worst, tangency_residual(out.carrier, chord))
+    # Image vertex j meets the carrier lines at angles j and j + k: n + k lines.
+    c, vs = d.carrier, out.vertices
+    alphas = [d.phi + j * d.theta for j in range(d.n + k)]
+    if kind == "G":
+        tangents = [tangent_at(c, a) for a in alphas]
+        zs = [intersect_lines(a, b) for a, b in zip(tangents, tangents[k:])]
+        residuals = [distance(z, v) / max(1.0, math.hypot(z.x, z.y)) for z, v in zip(zs, vs)]
+    else:
+        pts = [point_at(c, a) for a in alphas]
+        chords = [line_through(a, b) for a, b in zip(pts, pts[k:])]
+        residuals = [l.distance_to(v) / max(1.0, math.hypot(v.x, v.y)) for l, v in zip(chords, vs)]
+        residuals += tangency_residuals(out.carrier, chords)
+    worst = max(0.0, *residuals)
     if worst > _CORRESPONDENCE_TOL:
         raise ValueError(f"vertex correspondence failed with residual {worst}")

@@ -7,9 +7,10 @@ The canonical parametrization is the focal polar form
     r(alpha) = sqrt(t) * (1 - p^2) / (1 - sqrt(t) * p * cos(alpha)),
 
 measured from F; r may be negative on the far branch of a hyperbola member.
-The angle of a point at F is therefore its signed focal parameter alpha
-(point_at(member, alpha) is the point), which is the ray angle plus pi on a
-far branch; focal_parameter is the one place that computes it.
+The pencil equation makes r = sqrt(t) * (1 + p*x), so the angle of a point at
+F, its signed focal parameter alpha (point_at(member, alpha) is the point), is
+the ray angle plus pi where 1 + p*x < 0.  focal_parameter is the one place
+that computes it.
 """
 
 from __future__ import annotations
@@ -144,21 +145,15 @@ def parameter_of(p: float, x: Point) -> float:
 
 
 def focal_parameter(p: float, z: Point) -> float:
-    """The alpha with point_at(member, alpha) == z on z's own member: the ray
-    angle from the focus, plus pi where the signed radius is negative."""
-    c = pencil_member(p, parameter_of(p, z))
-    f = c.focus
-    d = math.hypot(z.x - f.x, z.y - f.y)
-    beta = math.atan2(z.y - f.y, z.x - f.x)
-    try:
-        err_pos = abs(focal_radius(c, beta) - d)
-    except AsymptoticDirection:
-        err_pos = math.inf
-    try:
-        err_neg = abs(focal_radius(c, beta + math.pi) + d)
-    except AsymptoticDirection:
-        err_neg = math.inf
-    return beta if err_pos <= err_neg else beta + math.pi
+    """The alpha with point_at(member, alpha) == z on z's own member.
+
+    The signed focal radius of z is sqrt(t) * (1 + p*x), with |z - F| its
+    absolute value, so alpha is the ray angle from the focus, plus pi where
+    1 + p*x < 0 (the far branch of a hyperbola member).  Building the member
+    only validates p and z."""
+    pencil_member(p, parameter_of(p, z))
+    beta = math.atan2(z.y, z.x + p)
+    return beta + math.pi if 1.0 + p * z.x < 0.0 else beta
 
 
 def quadratic_form(c: FocalConic) -> QuadraticForm:

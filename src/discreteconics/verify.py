@@ -81,7 +81,7 @@ def _cross_of_units(ux, uy, vx, vy) -> float:
 _inner_member = DiscreteConic.inner.fget
 
 
-def _parameter_step_residuals(p: float, points, theta: float, closed: bool = False) -> list[float]:
+def _parameter_step_residuals(p: float, points, theta: float, closed: bool) -> list[float]:
     """|focal-parameter step - theta| for consecutive points, wrap-aware."""
     alphas = [focal_parameter(p, z) for z in points]
     last = len(alphas) if closed else len(alphas) - 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discreteconics import group, pencil
 from discreteconics.errors import AngleOutOfRange
 from discreteconics.group import (
     IDENTITY,
@@ -141,3 +142,40 @@ def test_h_action_is_tangency_points():
     assert img.meta["vertex_correspondence"] == "verified"
     for a, b in zip(img.vertices, m.vertices):
         assert distance(a, b) < 1e-10
+
+
+# A closed polygon and an open chain, with k * theta < pi.
+CORRESPONDENCE_CASES = [
+    pytest.param(n, theta, k, id=f"{label}-k{k}")
+    for label, n, theta in (("closed", 8, 2.0 * math.pi / 8), ("open", 6, 0.7))
+    for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("n, theta, k", CORRESPONDENCE_CASES)
+@pytest.mark.parametrize("kind", ["G", "H"])
+def test_correspondence_builds_each_carrier_line_once(n, theta, k, kind, monkeypatch):
+    """The check reads n + k carrier tangents (G) or points (H), and forms the
+    image member's adjugate once (H)."""
+    counts = {"tangent_at": 0, "point_at": 0, "normalized_adjugate": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(group, "tangent_at")
+    counted(group, "point_at")
+    counted(pencil, "normalized_adjugate")
+    d = synthesize(0.3, 20.0, theta, 0.3, n)
+    assert d.closed == (n == 8)
+    out = act_on_discrete(from_angle(kind, k * theta), d)
+    assert out.meta == {"vertex_correspondence": "verified", "k": k}
+    if kind == "G":
+        assert counts == {"tangent_at": n + k, "point_at": 0, "normalized_adjugate": 0}
+    else:
+        assert counts == {"tangent_at": 0, "point_at": n + k, "normalized_adjugate": 1}
