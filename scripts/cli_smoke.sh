@@ -52,5 +52,12 @@ expect 2 "echo '{\"p\": 0.5, \"t\": 1, \"theta\": 1, \"phi\": 0, \"n\": 0, \"clo
 [ -e e.svg ] && { echo "FAIL render wrote e.svg"; status=1; }
 # Polygon JSON with theta outside (0, pi), which generate would reject.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"theta\": [^,]*/\"theta\": 0.0/' | $dc grid --k 2"
+# Polygon JSON whose p names no pencil member, through a check that never reads p.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"p\": [^,]*/\"p\": 1.0/' | $dc verify --check projective_regular"
+# A scene line with a NaN coefficient.
+expect 2 "echo '{\"lines\": [[NaN, 1, 0]]}' | $dc render --out line.svg"
+[ -e line.svg ] && { echo "FAIL render wrote line.svg"; status=1; }
+# A vertex whose pencil parameter t overflows.
+expect 2 "echo '{\"p\": 0.5, \"t\": 1.0, \"theta\": 0.7853981633974483, \"phi\": 0.0, \"n\": 4, \"closed\": false, \"vertices\": [[1e200, 1e200], [0.3, 0.2], [0.1, 0.5], [0.2, 0.1]]}' | $dc verify"
 
 exit $status

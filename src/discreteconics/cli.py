@@ -19,7 +19,7 @@ from .group import act_on_discrete, from_angle
 from .polygon import grid_layer, negative_pedal, synthesize
 from .render import Scene, render_svg, scene_from_dict
 from .serialize import polygon_from_dict, polygon_to_dict, report_to_dict
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, DEFAULT_TOL, run_checks
 
 _ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*\*?\s*pi\s*(?:/\s*([0-9.]+))?$")
 
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run residual checks on a polygon from stdin")
     ver.add_argument("--check", default="all",
                      help="'all' or one of: " + ", ".join(CHECK_NAMES))
-    ver.add_argument("--tol", type=_tolerance, default=1e-8)
+    ver.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     ren = sub.add_parser("render", help="render a scene or polygon JSON to SVG")
     ren.add_argument("--out", required=True)

@@ -78,6 +78,8 @@ class Line:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
+            raise ValueError(f"non-finite coefficients ({self.a}, {self.b}, {self.c})")
 
     @classmethod
     def from_coefficients(cls, a: float, b: float, c: float) -> "Line":

@@ -98,7 +98,7 @@ class FocalConic:
 def check_p(p: float) -> None:
     """Reject the degenerate shape parameters p = +-1."""
     if abs(abs(p) - 1.0) < 1e-9:
-        raise DegenerateP("p = +-1 gives a degenerate pencil")
+        raise DegenerateP(f"p = {p} is within 1e-9 of +-1, which gives a degenerate pencil")
 
 
 def pencil_member(p: float, t: float) -> FocalConic:
@@ -141,7 +141,13 @@ def parameter_of(p: float, x: Point) -> float:
     denom = 1.0 + p * x.x
     if abs(denom) < DEGENERACY_EPS:
         raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
-    return ((p + x.x) ** 2 + x.y**2) / denom**2
+    try:
+        t = ((p + x.x) ** 2 + x.y**2) / denom**2
+    except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
+        raise NonFiniteParameter(f"the member through {x} has t = {t}, beyond float range")
+    return t
 
 
 def focal_parameter(p: float, z: Point) -> float:

@@ -120,16 +120,19 @@ def _is_closed(n: int, theta: float) -> bool:
     return abs(normalize_angle(n * theta + math.pi) - math.pi) < _CLOSURE_EPS
 
 
-def _check_theta_n(theta: float, n: int) -> None:
+def _check_theta_n(theta: float, n: int, phi: float) -> None:
+    """The polygon rules of every constructor and of polygon JSON."""
     if not 0.0 < theta < math.pi:
         raise AngleOutOfRange(f"theta must lie in (0, pi), got {theta}")
     if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
+        raise ValueError(f"a polygon needs at least three vertices, got {n}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
 
 
 def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
-    _check_theta_n(theta, n)
+    _check_theta_n(theta, n, phi)
     c = pencil_member(p, t)
     verts = tuple(point_at(c, phi + j * theta) for j in range(n))
     return DiscreteConic(c.p, c.t, theta, phi, verts)
@@ -143,7 +146,7 @@ def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> Discrete
     exactly (cos psi, sin psi), so the equal-angle property holds by algebra.
     """
     check_p(p)
-    _check_theta_n(theta, n)
+    _check_theta_n(theta, n, phi)
     verts = []
     for j in range(n):
         psi = j * theta + phi
@@ -181,7 +184,7 @@ def negative_pedal(p: float, theta: float, phi: float, n: int) -> tuple[PedalSca
     though that point plays no role in the construction.
     """
     check_p(p)
-    _check_theta_n(theta, n)
+    _check_theta_n(theta, n, phi)
     pedal = Point(float(p), 0.0)
     samples = []
     lines = []

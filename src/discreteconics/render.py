@@ -17,6 +17,7 @@ from .polygon import DiscreteConic
 from .serialize import conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict
 
 _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_WIDTH = 800  # SVG width attribute; the height follows the viewbox aspect
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,14 @@ def _points_attr(points) -> str:
     return " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in points)
 
 
-def render_svg(s: Scene, width: int = 800) -> str:
+def render_svg(s: Scene) -> str:
     if not (s.conics or s.polygons or s.points or s.lines):
         raise EmptyScene("nothing to render")
     box = s.viewbox if s.viewbox is not None else _auto_viewbox(s)
     xmin, ymin, w, h = box
-    if not (w > 0 and h > 0 and all(map(math.isfinite, (*box, width * h / w)))):
+    if not (w > 0 and h > 0 and all(map(math.isfinite, (*box, _WIDTH * h / w)))):
         raise ValueError(f"degenerate or non-finite viewbox {box}")
-    height = width * h / w
+    height = _WIDTH * h / w
     sw = _fmt(h / 400.0)  # stroke width in world units
     body = []
     color = 0
@@ -190,6 +191,6 @@ def render_svg(s: Scene, width: int = 800) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{_fmt(height)}" viewBox="{view}">'
+        f'width="{_WIDTH}" height="{_fmt(height)}" viewBox="{view}">'
         f'<g transform="scale(1,-1)">{"".join(body)}</g></svg>'
     )

@@ -8,12 +8,11 @@ and goldens are stable across platforms.
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import MalformedInput
 from .kernel import Point
 from .pencil import FocalConic, pencil_member
-from .polygon import DiscreteConic
+from .polygon import DiscreteConic, _check_theta_n
 from .verify import Report
 
 
@@ -33,9 +32,8 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
-    """At least three vertices, theta in (0, pi) and a finite phi, as every
-    constructor gives; the stated n and closed must agree with the vertices
-    and theta."""
+    """The constructors' own rules hold (_check_theta_n, pencil_member), and
+    the stated n and closed must agree with the vertices and theta."""
     try:
         d = DiscreteConic(
             p=float(obj["p"]),
@@ -48,12 +46,8 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
         n, closed = int(obj["n"]), bool(obj["closed"])
     except TypeError as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed polygon: {exc}") from exc
-    if d.n < 3:
-        raise MalformedInput(f"a polygon needs at least three vertices, got {d.n}")
-    if not 0.0 < d.theta < math.pi:
-        raise MalformedInput(f"theta must lie in (0, pi), got {d.theta}")
-    if not math.isfinite(d.phi):
-        raise MalformedInput(f"phi must be finite, got {d.phi}")
+    _check_theta_n(d.theta, d.n, d.phi)
+    pencil_member(d.p, d.t)
     if (n, closed) != (d.n, d.closed):
         raise MalformedInput(f"n = {n}, closed = {closed} but the vertices and theta "
                              f"give n = {d.n}, closed = {d.closed}")

@@ -39,6 +39,8 @@ from .pencil import (
 from .polygon import DiscreteConic, _indexed_opposite_intersections, grid_layer, tangency_points
 
 DEFAULT_TOL = 1e-8
+# projective_regular never runs at a tighter tolerance than this.
+PROJECTIVE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e
     return make_report("equal_angles", residuals, tol, focus=[f.x, f.y], theta=d.theta)
 
 
-def check_projective_regular(d: DiscreteConic, tol: float = 1e-6) -> Report:
+def check_projective_regular(d: DiscreteConic, tol: float = PROJECTIVE_FLOOR) -> Report:
     """Vertices map onto the regular polygon of the same winding and sense
     under the homography fixed by the first four; tested on the other n - 4."""
     if not d.closed:
@@ -352,7 +354,9 @@ _CHECKS = {
     "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), None),
     "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), None),
     "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), _OPEN),
-    "projective_regular": (lambda d, tol: check_projective_regular(d, tol=max(tol, 1e-6)), _N_GE_5),
+    "projective_regular": (
+        lambda d, tol: check_projective_regular(d, tol=max(tol, PROJECTIVE_FLOOR)), _N_GE_5
+    ),
     "reflective": (lambda d, tol: check_reflective(d, tol=tol), _OPEN),
     "isogonal": (lambda d, tol: check_isogonal(d, 1, 2 if d.n == 4 else 3, tol=tol), _OPEN),
     "grid": (lambda d, tol: check_grid(d, 2, tol=tol), _N_GE_5),
