@@ -59,5 +59,12 @@ expect 2 "echo '{\"lines\": [[NaN, 1, 0]]}' | $dc render --out line.svg"
 [ -e line.svg ] && { echo "FAIL render wrote line.svg"; status=1; }
 # A vertex whose pencil parameter t overflows.
 expect 2 "echo '{\"p\": 0.5, \"t\": 1.0, \"theta\": 0.7853981633974483, \"phi\": 0.0, \"n\": 4, \"closed\": false, \"vertices\": [[1e200, 1e200], [0.3, 0.2], [0.1, 0.5], [0.2, 0.1]]}' | $dc verify"
+# A negative pi fraction after --phi, detached from the option.
+expect 0 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --phi -pi/3 --n 8"
+# Polygon JSON whose closed flag is not a JSON boolean.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"closed\": true/\"closed\": \"no\"/' | $dc verify"
+# A point label with XML metacharacters renders to a well-formed file.
+expect 0 "echo '{\"points\": [{\"label\": \"a\\\"b&c\", \"xy\": [0, 0]}]}' | $dc render --out label.svg"
+expect 0 "python3 -c 'import xml.dom.minidom, sys; xml.dom.minidom.parse(sys.argv[1])' label.svg"
 
 exit $status

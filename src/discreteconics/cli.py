@@ -17,11 +17,12 @@ import sys
 from .errors import GeometryError, MalformedInput
 from .group import act_on_discrete, from_angle
 from .polygon import grid_layer, negative_pedal, synthesize
-from .render import Scene, render_svg, scene_from_dict
+from .render import render_svg, scene_from_dict
 from .serialize import polygon_from_dict, polygon_to_dict, report_to_dict
 from .verify import CHECK_NAMES, DEFAULT_TOL, run_checks
 
 _ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*\*?\s*pi\s*(?:/\s*([0-9.]+))?$")
+_ANGLE_OPTIONS = ("--theta", "--phi", "--angle")
 
 
 def parse_angle(text: str) -> float:
@@ -36,21 +37,26 @@ def parse_angle(text: str) -> float:
         value = float(text)
     else:
         coef = m.group(1)
-        if coef in ("", "+"):
-            num = 1.0
-        elif coef == "-":
-            num = -1.0
-        else:
-            num = float(coef)
-        value = num * math.pi
-        if m.group(2):
-            den = float(m.group(2))
-            if den == 0.0:
-                raise ValueError(f"zero denominator in angle {text!r}")
-            value /= den
+        num = float(coef + "1" if coef in ("", "+", "-") else coef)  # a bare sign means 1
+        den = float(m.group(2) or 1.0)
+        if den == 0.0:
+            raise ValueError(f"zero denominator in angle {text!r}")
+        value = num * math.pi / den
     if not math.isfinite(value):
         raise ValueError(f"angle must be finite, got {text!r}")
     return value
+
+
+def _attach_angles(argv) -> list:
+    """'--phi -pi/3' -> '--phi=-pi/3': argparse takes a value that starts
+    with '-' for an option unless it is attached."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _ANGLE_OPTIONS and _ANGLE_RE.match(arg.strip()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _tolerance(text: str) -> float:
@@ -64,15 +70,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _read_object(stream) -> dict:
-    obj = json.loads(stream.read())
+def _read_object() -> dict:
+    obj = json.loads(sys.stdin.read())
     if not isinstance(obj, dict):
         raise MalformedInput(f"expected a JSON object on stdin, got {type(obj).__name__}")
     return obj
-
-
-def _read_polygon(stream) -> "DiscreteConic":
-    return polygon_from_dict(_read_object(stream))
 
 
 def _emit(obj) -> None:
@@ -117,43 +119,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _transform(args) -> "DiscreteConic":
+    d = polygon_from_dict(_read_object())  # the input is read before the angle is checked
+    return act_on_discrete(from_angle(args.op, args.angle), d)
+
+
+# Subcommand -> the polygon it prints.
+_POLYGON_OF = {
+    "generate": lambda args: synthesize(args.p, args.t, args.theta, args.phi, args.n),
+    "pedal": lambda args: negative_pedal(args.p, args.theta, args.phi, args.n)[1],
+    "transform": _transform,
+    "grid": lambda args: grid_layer(polygon_from_dict(_read_object()), args.k),
+}
+
+
+def _print_polygon(args) -> int:
+    _emit(polygon_to_dict(_POLYGON_OF[args.command](args)))
+    return 0
+
+
+def _verify(args) -> int:
+    names = None if args.check == "all" else [args.check]
+    reports = run_checks(polygon_from_dict(_read_object()), names=names, tol=args.tol)
+    _emit([report_to_dict(r) for r in reports])
+    return 0 if all(r.passed for r in reports) else 1
+
+
+def _render(args) -> int:
+    svg = render_svg(scene_from_dict(_read_object()))
+    with open(args.out, "w") as fh:
+        fh.write(svg)
+    return 0
+
+
+# Subcommand -> its handler, for those that do not print a polygon.
+_HANDLERS = {"verify": _verify, "render": _render}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_angles(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "generate":
-            poly = synthesize(args.p, args.t, args.theta, args.phi, args.n)
-            _emit(polygon_to_dict(poly))
-        elif args.command == "pedal":
-            _, poly = negative_pedal(args.p, args.theta, args.phi, args.n)
-            _emit(polygon_to_dict(poly))
-        elif args.command == "transform":
-            poly = _read_polygon(sys.stdin)
-            _emit(polygon_to_dict(act_on_discrete(from_angle(args.op, args.angle), poly)))
-        elif args.command == "grid":
-            poly = _read_polygon(sys.stdin)
-            _emit(polygon_to_dict(grid_layer(poly, args.k)))
-        elif args.command == "verify":
-            poly = _read_polygon(sys.stdin)
-            names = None if args.check == "all" else [args.check]
-            reports = run_checks(poly, names=names, tol=args.tol)
-            _emit([report_to_dict(r) for r in reports])
-            if not all(r.passed for r in reports):
-                return 1
-        elif args.command == "render":
-            obj = _read_object(sys.stdin)
-            if "vertices" in obj:
-                poly = polygon_from_dict(obj)
-                scene = Scene(
-                    conics=(poly.carrier,),
-                    polygons=(poly,),
-                    points=(("F", poly.focus),),
-                )
-            else:
-                scene = scene_from_dict(obj)
-            svg = render_svg(scene)
-            with open(args.out, "w") as fh:
-                fh.write(svg)
-        return 0
+        return _HANDLERS.get(args.command, _print_polygon)(args)
     except (GeometryError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,10 @@ def scene_to_dict(s: Scene) -> dict:
 
 
 def scene_from_dict(obj: dict) -> Scene:
+    """A scene object, or a polygon object drawn with its carrier and focus F."""
+    if "vertices" in obj:
+        poly = polygon_from_dict(obj)
+        return Scene(conics=(poly.carrier,), polygons=(poly,), points=(("F", poly.focus),))
     vb = obj.get("viewbox")
     try:
         scene = Scene(
@@ -140,6 +144,12 @@ def _clip_line(line: Line, box) -> tuple[Point, Point] | None:
     return best[1], best[2]
 
 
+def _escape(text) -> str:
+    """Text for a double-quoted XML attribute."""
+    text = str(text).replace("&", "&amp;")
+    return text.replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _points_attr(points) -> str:
     return " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in points)
 
@@ -185,7 +195,7 @@ def render_svg(s: Scene) -> str:
     for label, p in s.points:
         body.append(
             f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" r="{_fmt(h / 150.0)}" '
-            f'fill="#000000" data-label="{label}"/>'
+            f'fill="#000000" data-label="{_escape(label)}"/>'
         )
     view = f"{_fmt(xmin)} {_fmt(-(ymin + h))} {_fmt(w)} {_fmt(h)}"
     return (

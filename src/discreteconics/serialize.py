@@ -31,21 +31,36 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
     return out
 
 
+# Exact JSON types: a bool is not a number here, nor a string holding one.
+_NUMBER = (int, float)
+
+
+def _vertex(v) -> Point:
+    if type(v) in (list, tuple) and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER:
+        return Point(v[0], v[1])
+    raise MalformedInput(f"vertices must be pairs of numbers, got {v!r}")
+
+
 def polygon_from_dict(obj: dict) -> DiscreteConic:
     """The constructors' own rules hold (_check_theta_n, pencil_member), and
-    the stated n and closed must agree with the vertices and theta."""
+    the stated n (an integer) and closed (a boolean) must agree with the
+    vertices and theta."""
     try:
         d = DiscreteConic(
             p=float(obj["p"]),
             t=float(obj["t"]),
             theta=float(obj["theta"]),
             phi=float(obj["phi"]),
-            vertices=tuple(Point(float(x), float(y)) for x, y in obj["vertices"]),
+            vertices=tuple(map(_vertex, obj["vertices"])),
             meta=dict(obj.get("meta", {})),
         )
-        n, closed = int(obj["n"]), bool(obj["closed"])
     except TypeError as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed polygon: {exc}") from exc
+    n, closed = obj["n"], obj["closed"]
+    if type(n) is not int:
+        raise MalformedInput(f"n must be an integer, got {n!r}")
+    if type(closed) is not bool:
+        raise MalformedInput(f"closed must be a boolean, got {closed!r}")
     _check_theta_n(d.theta, d.n, d.phi)
     pencil_member(d.p, d.t)
     if (n, closed) != (d.n, d.closed):

@@ -338,21 +338,16 @@ def check_lemma(lemma_id: str, tol: float = 1e-9, **params) -> Report:
 # ---------------------------------------------------------------------------
 # Batch runner
 
-_OPEN = "open chain"
-_N_GE_5 = "needs a closed polygon with n >= 5"
-_EVEN = "needs a closed even-sided polygon"
+# (skip reason, whether it applies to a polygon).
+_ALWAYS = (None, lambda d: False)
+_OPEN = ("open chain", lambda d: not d.closed)
+_N_GE_5 = ("needs a closed polygon with n >= 5", lambda d: not d.closed or d.n < 5)
+_EVEN = ("needs a closed even-sided polygon", lambda d: not d.closed or d.n % 2 != 0)
 
-# Skip reason -> whether it applies to a polygon.
-_SKIP_WHEN = {
-    _OPEN: lambda d: not d.closed,
-    _N_GE_5: lambda d: not d.closed or d.n < 5,
-    _EVEN: lambda d: not d.closed or d.n % 2 != 0,
-}
-
-# Check name -> (check(d, tol), skip reason or None when it always runs).
+# Check name -> (check(d, tol), skip rule).
 _CHECKS = {
-    "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), None),
-    "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), None),
+    "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), _ALWAYS),
+    "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), _ALWAYS),
     "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), _OPEN),
     "projective_regular": (
         lambda d, tol: check_projective_regular(d, tol=max(tol, PROJECTIVE_FLOOR)), _N_GE_5
@@ -378,9 +373,9 @@ def run_checks(d: DiscreteConic, names=None, tol: float = DEFAULT_TOL) -> list[R
     for name in names:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
-        check, reason = _CHECKS[name]
+        check, (reason, skips) = _CHECKS[name]
         try:
-            if reason and _SKIP_WHEN[reason](d):
+            if skips(d):
                 reports.append(_skipped(name, tol, reason))
             else:
                 reports.append(check(d, tol))
