@@ -66,5 +66,16 @@ expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"closed\": tr
 # A point label with XML metacharacters renders to a well-formed file.
 expect 0 "echo '{\"points\": [{\"label\": \"a\\\"b&c\", \"xy\": [0, 0]}]}' | $dc render --out label.svg"
 expect 0 "python3 -c 'import xml.dom.minidom, sys; xml.dom.minidom.parse(sys.argv[1])' label.svg"
+# A p that is a string holding a number, not a JSON number.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"p\": [^,]*/\"p\": \"0.5\"/' | $dc verify"
+# A p that is a JSON integer beyond float range: a typed error, no traceback.
+big=$(printf '9%.0s' $(seq 401))
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"p\": [^,]*/\"p\": $big/' | $dc verify"
+grep -q Traceback "$work/stderr" && { echo "FAIL verify printed a traceback"; status=1; }
+# A point label with a control character, which XML 1.0 cannot hold.
+expect 2 "echo '{\"points\": [{\"label\": \"a\\u0001b\", \"xy\": [0, 0]}]}' | $dc render --out ctl.svg"
+[ -e ctl.svg ] && { echo "FAIL render wrote ctl.svg"; status=1; }
+# An abbreviated option name.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --ph -pi/3 --n 8"
 
 exit $status

@@ -9,6 +9,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -88,33 +89,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, transform, verify and render discrete conics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)  # '--ph' is not '--phi'
 
-    gen = sub.add_parser("generate", help="equal-focal-angle polygon on a pencil member")
+    gen = add_parser("generate", help="equal-focal-angle polygon on a pencil member")
     gen.add_argument("--p", type=float, required=True)
     gen.add_argument("--t", type=float, required=True)
     gen.add_argument("--theta", type=parse_angle, required=True)
     gen.add_argument("--phi", type=parse_angle, default=0.0)
     gen.add_argument("--n", type=int, required=True)
 
-    ped = sub.add_parser("pedal", help="discrete negative-pedal construction")
+    ped = add_parser("pedal", help="discrete negative-pedal construction")
     ped.add_argument("--p", type=float, required=True)
     ped.add_argument("--theta", type=parse_angle, required=True)
     ped.add_argument("--phi", type=parse_angle, default=0.0)
     ped.add_argument("--n", type=int, required=True)
 
-    tra = sub.add_parser("transform", help="apply a group element to a polygon from stdin")
+    tra = add_parser("transform", help="apply a group element to a polygon from stdin")
     tra.add_argument("--op", choices=("G", "H"), required=True)
     tra.add_argument("--angle", type=parse_angle, required=True)
 
-    grd = sub.add_parser("grid", help="intersections of side lines k apart")
+    grd = add_parser("grid", help="intersections of side lines k apart")
     grd.add_argument("--k", type=int, required=True)
 
-    ver = sub.add_parser("verify", help="run residual checks on a polygon from stdin")
+    ver = add_parser("verify", help="run residual checks on a polygon from stdin")
     ver.add_argument("--check", default="all",
                      help="'all' or one of: " + ", ".join(CHECK_NAMES))
     ver.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
-    ren = sub.add_parser("render", help="render a scene or polygon JSON to SVG")
+    ren = add_parser("render", help="render a scene or polygon JSON to SVG")
     ren.add_argument("--out", required=True)
     return parser
 

@@ -96,14 +96,16 @@ class FocalConic:
 
 
 def check_p(p: float) -> None:
-    """Reject the degenerate shape parameters p = +-1."""
+    """Reject a non-finite p and the degenerate shape parameters p = +-1."""
+    if not math.isfinite(p):
+        raise NonFiniteParameter(f"p must be finite, got {p!r}")
     if abs(abs(p) - 1.0) < 1e-9:
         raise DegenerateP(f"p = {p} is within 1e-9 of +-1, which gives a degenerate pencil")
 
 
 def pencil_member(p: float, t: float) -> FocalConic:
-    if not (math.isfinite(p) and math.isfinite(t)):
-        raise NonFiniteParameter(f"p and t must be finite, got p = {p}, t = {t}")
+    if not math.isfinite(t):
+        raise NonFiniteParameter(f"pencil parameter t must be finite, got {t!r}")
     check_p(p)
     if t <= 0.0:
         raise NonpositiveT(f"pencil parameter t must be positive, got {t}")
@@ -155,9 +157,10 @@ def focal_parameter(p: float, z: Point) -> float:
 
     The signed focal radius of z is sqrt(t) * (1 + p*x), with |z - F| its
     absolute value, so alpha is the ray angle from the focus, plus pi where
-    1 + p*x < 0 (the far branch of a hyperbola member).  Building the member
-    only validates p and z."""
-    pencil_member(p, parameter_of(p, z))
+    1 + p*x < 0 (the far branch of a hyperbola member).  parameter_of
+    validates p and z; the focus itself (t = 0) lies on no member."""
+    if parameter_of(p, z) == 0.0:
+        raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
     beta = math.atan2(z.y, z.x + p)
     return beta + math.pi if 1.0 + p * z.x < 0.0 else beta
 

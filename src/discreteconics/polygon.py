@@ -120,8 +120,9 @@ def _is_closed(n: int, theta: float) -> bool:
     return abs(normalize_angle(n * theta + math.pi) - math.pi) < _CLOSURE_EPS
 
 
-def _check_theta_n(theta: float, n: int, phi: float) -> None:
-    """The polygon rules of every constructor and of polygon JSON."""
+def _check_theta_n(p: float, theta: float, n: int, phi: float) -> None:
+    """The polygon rules of every constructor and of polygon JSON, p first."""
+    check_p(p)
     if not 0.0 < theta < math.pi:
         raise AngleOutOfRange(f"theta must lie in (0, pi), got {theta}")
     if n < 3:
@@ -132,7 +133,7 @@ def _check_theta_n(theta: float, n: int, phi: float) -> None:
 
 def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
-    _check_theta_n(theta, n, phi)
+    _check_theta_n(p, theta, n, phi)
     c = pencil_member(p, t)
     verts = tuple(point_at(c, phi + j * theta) for j in range(n))
     return DiscreteConic(c.p, c.t, theta, phi, verts)
@@ -145,8 +146,7 @@ def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> Discrete
     with psi = (j-1)*theta + phi.  The focal direction of V_j from (-p, 0) is
     exactly (cos psi, sin psi), so the equal-angle property holds by algebra.
     """
-    check_p(p)
-    _check_theta_n(theta, n, phi)
+    _check_theta_n(p, theta, n, phi)
     verts = []
     for j in range(n):
         psi = j * theta + phi
@@ -183,8 +183,7 @@ def negative_pedal(p: float, theta: float, phi: float, n: int) -> tuple[PedalSca
     phi + 3*theta/2, and the equal-angle property holds at (-p, 0) even
     though that point plays no role in the construction.
     """
-    check_p(p)
-    _check_theta_n(theta, n, phi)
+    _check_theta_n(p, theta, n, phi)
     pedal = Point(float(p), 0.0)
     samples = []
     lines = []

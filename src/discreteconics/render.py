@@ -14,7 +14,7 @@ from .errors import AsymptoticDirection, EmptyScene, MalformedInput
 from .kernel import Line, Point
 from .pencil import FocalConic, focal_radius
 from .polygon import DiscreteConic
-from .serialize import conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict
+from .serialize import conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict, read_number
 
 _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _WIDTH = 800  # SVG width attribute; the height follows the viewbox aspect
@@ -41,31 +41,40 @@ def scene_to_dict(s: Scene) -> dict:
     return out
 
 
+def _xml_char(c: str) -> bool:
+    """The Char production of XML 1.0, which excludes the other C0 controls,
+    the surrogates, U+FFFE and U+FFFF, even as character references."""
+    return c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
+def _label(entry: dict) -> str:
+    label = entry.get("label", "")
+    if type(label) is not str or not all(map(_xml_char, label)):
+        raise MalformedInput(f"label must be a string of XML 1.0 characters, got {label!r}")
+    return label
+
+
 def scene_from_dict(obj: dict) -> Scene:
     """A scene object, or a polygon object drawn with its carrier and focus F."""
     if "vertices" in obj:
         poly = polygon_from_dict(obj)
         return Scene(conics=(poly.carrier,), polygons=(poly,), points=(("F", poly.focus),))
-    vb = obj.get("viewbox")
     try:
-        scene = Scene(
+        return Scene(
             conics=tuple(conic_from_dict(c) for c in obj.get("conics", [])),
             polygons=tuple(polygon_from_dict(p) for p in obj.get("polygons", [])),
             points=tuple(
-                (entry.get("label", ""), Point(float(entry["xy"][0]), float(entry["xy"][1])))
+                (_label(entry), Point(*read_number(entry["xy"], "xy", 2)))
                 for entry in obj.get("points", [])
             ),
             lines=tuple(
-                Line.from_coefficients(float(a), float(b), float(c))
-                for a, b, c in obj.get("lines", [])
+                Line.from_coefficients(*read_number(abc, "lines", 3))
+                for abc in obj.get("lines", [])
             ),
-            viewbox=tuple(float(v) for v in vb) if vb else None,
+            viewbox=read_number(obj["viewbox"], "viewbox", 4) if "viewbox" in obj else None,
         )
-    except (TypeError, AttributeError, IndexError) as exc:  # a null or a wrongly nested value
+    except (TypeError, AttributeError) as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed scene: {exc}") from exc
-    if scene.viewbox is not None and len(scene.viewbox) != 4:
-        raise MalformedInput(f"viewbox needs 4 numbers, got {len(scene.viewbox)}")
-    return scene
 
 
 def _fmt(x: float) -> str:

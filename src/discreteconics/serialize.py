@@ -8,6 +8,7 @@ and goldens are stable across platforms.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import MalformedInput
 from .kernel import Point
@@ -31,14 +32,24 @@ def polygon_to_dict(d: DiscreteConic) -> dict:
     return out
 
 
-# Exact JSON types: a bool is not a number here, nor a string holding one.
-_NUMBER = (int, float)
+def _exact(value, field: str, kinds: tuple, what: str):
+    """value, if its JSON type is one of kinds exactly: a bool is no int here."""
+    if type(value) not in kinds:
+        raise MalformedInput(f"{field} must be {what}, got {value!r}")
+    return value
 
 
-def _vertex(v) -> Point:
-    if type(v) in (list, tuple) and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER:
-        return Point(v[0], v[1])
-    raise MalformedInput(f"vertices must be pairs of numbers, got {v!r}")
+def read_number(value, field: str, k: int | None = None):
+    """value, a JSON number, as a float; or with k given, value, an array of
+    exactly k numbers, as a tuple of floats."""
+    if k is None:
+        try:
+            return float(_exact(value, field, (int, float), "a number"))
+        except OverflowError:  # an int beyond float range reads as json reads 1e400
+            return math.inf if value > 0 else -math.inf
+    if type(value) in (list, tuple) and len(value) == k:
+        return tuple(read_number(x, field) for x in value)
+    raise MalformedInput(f"{field} must be an array of {k} numbers, got {value!r}")
 
 
 def polygon_from_dict(obj: dict) -> DiscreteConic:
@@ -47,21 +58,18 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
     vertices and theta."""
     try:
         d = DiscreteConic(
-            p=float(obj["p"]),
-            t=float(obj["t"]),
-            theta=float(obj["theta"]),
-            phi=float(obj["phi"]),
-            vertices=tuple(map(_vertex, obj["vertices"])),
+            p=read_number(obj["p"], "p"),
+            t=read_number(obj["t"], "t"),
+            theta=read_number(obj["theta"], "theta"),
+            phi=read_number(obj["phi"], "phi"),
+            vertices=tuple(Point(*read_number(v, "vertices", 2)) for v in obj["vertices"]),
             meta=dict(obj.get("meta", {})),
         )
     except TypeError as exc:  # a null or a wrongly nested value
         raise MalformedInput(f"malformed polygon: {exc}") from exc
-    n, closed = obj["n"], obj["closed"]
-    if type(n) is not int:
-        raise MalformedInput(f"n must be an integer, got {n!r}")
-    if type(closed) is not bool:
-        raise MalformedInput(f"closed must be a boolean, got {closed!r}")
-    _check_theta_n(d.theta, d.n, d.phi)
+    n = _exact(obj["n"], "n", (int,), "an integer")
+    closed = _exact(obj["closed"], "closed", (bool,), "a boolean")
+    _check_theta_n(d.p, d.theta, d.n, d.phi)
     pencil_member(d.p, d.t)
     if (n, closed) != (d.n, d.closed):
         raise MalformedInput(f"n = {n}, closed = {closed} but the vertices and theta "
@@ -83,15 +91,15 @@ def report_to_dict(r: Report) -> dict:
 def report_from_dict(obj: dict) -> Report:
     """The stated max_residual and pass must agree with the residuals."""
     try:
-        if not isinstance(obj["residuals"], list):
-            raise TypeError("residuals must be a list")
         r = Report(
             check=obj["check"],
-            residuals=tuple(float(r) for r in obj["residuals"]),
-            tolerance=float(obj["tolerance"]),
+            residuals=tuple(read_number(r, "residuals") for r in
+                            _exact(obj["residuals"], "residuals", (list,), "an array of numbers")),
+            tolerance=read_number(obj["tolerance"], "tolerance"),
             metadata=dict(obj.get("metadata", {})),
         )
-        worst, passed = float(obj["max_residual"]), bool(obj["pass"])
+        worst = read_number(obj["max_residual"], "max_residual")
+        passed = _exact(obj["pass"], "pass", (bool,), "a boolean")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed report: {exc!r}") from exc
     if (repr(worst), passed) != (repr(r.max_residual), r.passed):  # repr: NaN matches NaN
@@ -105,7 +113,7 @@ def conic_to_dict(c: FocalConic) -> dict:
 
 
 def conic_from_dict(obj: dict) -> FocalConic:
-    return pencil_member(float(obj["p"]), float(obj["t"]))
+    return pencil_member(read_number(obj["p"], "p"), read_number(obj["t"], "t"))
 
 
 def serialize(obj) -> str:
