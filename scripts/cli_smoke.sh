@@ -77,5 +77,15 @@ expect 2 "echo '{\"points\": [{\"label\": \"a\\u0001b\", \"xy\": [0, 0]}]}' | $d
 [ -e ctl.svg ] && { echo "FAIL render wrote ctl.svg"; status=1; }
 # An abbreviated option name.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --ph -pi/3 --n 8"
+# Container fields that are no arrays, each named in the error.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"vertices\": .*\]\]/\"vertices\": null/' | $dc verify"
+grep -q '^error: vertices must be an array' "$work/stderr" || { echo "FAIL verify did not name vertices"; status=1; }
+expect 2 "echo '{\"points\": 5}' | $dc render --out points.svg"
+[ -e points.svg ] && { echo "FAIL render wrote points.svg"; status=1; }
+# A line coefficient beyond float range: the error shows inf, not a NaN.
+expect 2 "echo '{\"lines\": [[1, $big, 0]]}' | $dc render --out big.svg"
+grep -q inf "$work/stderr" && ! grep -q -e nan -e Traceback "$work/stderr" \
+    || { echo "FAIL render reported a NaN or a traceback"; status=1; }
+[ -e big.svg ] && { echo "FAIL render wrote big.svg"; status=1; }
 
 exit $status

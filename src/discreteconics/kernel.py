@@ -78,11 +78,11 @@ class Line:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
-            raise ValueError(f"non-finite coefficients ({self.a}, {self.b}, {self.c})")
+        _check_coefficients(self.a, self.b, self.c)
 
     @classmethod
     def from_coefficients(cls, a: float, b: float, c: float) -> "Line":
+        _check_coefficients(a, b, c)  # before dividing, so the message shows the given values
         norm = math.hypot(a, b)
         if norm < DEGENERACY_EPS:
             raise DegenerateConfiguration("line with zero normal vector")
@@ -100,6 +100,11 @@ class Line:
     def direction(self) -> tuple[float, float]:
         """A unit vector along the line."""
         return (-self.b, self.a)
+
+
+def _check_coefficients(a: float, b: float, c: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
 
 
 def line_through(p: Point, q: Point) -> Line:
@@ -253,11 +258,16 @@ def projective_from_correspondences(src: list[Point], dst: list[Point]) -> Proje
     return ProjectiveMap(_matmul3(t_dst_inv, _matmul3(h, t_src)))
 
 
-def apply_map(m: ProjectiveMap, p: Point) -> Point:
+def map_xy(m: ProjectiveMap, x: float, y: float) -> tuple[float, float]:
+    """The image of the point (x, y) under m, as a coordinate pair."""
     (a, b, c), (d, e, f), (g, h, i) = m.m
-    hx = a * p.x + b * p.y + c
-    hy = d * p.x + e * p.y + f
-    hw = g * p.x + h * p.y + i
+    hx = a * x + b * y + c
+    hy = d * x + e * y + f
+    hw = g * x + h * y + i
     if abs(hw) < DEGENERACY_EPS * max(1.0, abs(hx), abs(hy)):
-        raise PointAtInfinity(f"{p} maps to the vanishing line")
-    return Point(hx / hw, hy / hw)
+        raise PointAtInfinity(f"{Point(x, y)} maps to the vanishing line")
+    return hx / hw, hy / hw
+
+
+def apply_map(m: ProjectiveMap, p: Point) -> Point:
+    return Point(*map_xy(m, p.x, p.y))

@@ -39,9 +39,10 @@ class DiscreteConic:
     angle phi + (j-1)*theta measured from the focus (-p, 0); n and closed
     are derived from the vertices and theta, never passed.
 
-    The side lines (sides) and the tangency polygon (tangency) are built on
-    first use and cached per instance, outside the fields: equality, repr and
-    JSON never see them, and dataclasses.replace gives a fresh cache."""
+    The side lines (sides), the tangency polygon (tangency) and the grid
+    layers (layers) are built on first use and cached per instance, outside
+    the fields: equality, repr and JSON never see them, and
+    dataclasses.replace gives a fresh cache."""
 
     p: float
     t: float
@@ -110,6 +111,11 @@ class DiscreteConic:
             point_at(inner, self.phi + j * self.theta + half) for j in range(self.num_sides)
         )
         return DiscreteConic(self.p, inner.t, self.theta, self.phi + half, verts)
+
+    @cached_property
+    def layers(self) -> dict[int, DiscreteConic]:
+        """Grid layers built so far, by k; grid_layer fills it on success."""
+        return {}
 
     @property
     def num_sides(self) -> int:
@@ -215,8 +221,12 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
 
     Lands on the t*cos^2(theta/2)*sec^2(k*theta/2) member; equals the
     G_{k*theta} image of the tangency-point polygon as a vertex set.  phi is
-    the focal parameter of Z_1, so synthesize reproduces the layer.
+    the focal parameter of Z_1, so synthesize reproduces the layer.  The
+    layer is cached on d (d.layers[k]) once built: every call on one
+    instance returns the same object, and a call that raises caches nothing.
     """
+    if k in d.layers:
+        return d.layers[k]
     if not d.closed:
         raise NotClosed("grid layers are defined for closed polygons")
     if not 1 <= k <= d.n - 2:
@@ -232,7 +242,8 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
     sec_k = 1.0 / math.cos(k * d.theta / 2.0)
     t_layer = d.inner.t * sec_k * sec_k
     phi_layer = focal_parameter(d.p, verts[0])
-    return DiscreteConic(d.p, t_layer, d.theta, phi_layer, verts)
+    layer = d.layers[k] = DiscreteConic(d.p, t_layer, d.theta, phi_layer, verts)
+    return layer
 
 
 def opposite_side_intersections(d: DiscreteConic) -> tuple[list[Point], Line]:

@@ -14,7 +14,8 @@ from .errors import AsymptoticDirection, EmptyScene, MalformedInput
 from .kernel import Line, Point
 from .pencil import FocalConic, focal_radius
 from .polygon import DiscreteConic
-from .serialize import conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict, read_number
+from .serialize import (conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict,
+                        read_array, read_number)
 
 _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _WIDTH = 800  # SVG width attribute; the height follows the viewbox aspect
@@ -61,16 +62,12 @@ def scene_from_dict(obj: dict) -> Scene:
         return Scene(conics=(poly.carrier,), polygons=(poly,), points=(("F", poly.focus),))
     try:
         return Scene(
-            conics=tuple(conic_from_dict(c) for c in obj.get("conics", [])),
-            polygons=tuple(polygon_from_dict(p) for p in obj.get("polygons", [])),
-            points=tuple(
-                (_label(entry), Point(*read_number(entry["xy"], "xy", 2)))
-                for entry in obj.get("points", [])
-            ),
-            lines=tuple(
-                Line.from_coefficients(*read_number(abc, "lines", 3))
-                for abc in obj.get("lines", [])
-            ),
+            conics=read_array(obj.get("conics", []), "conics", conic_from_dict),
+            polygons=read_array(obj.get("polygons", []), "polygons", polygon_from_dict),
+            points=read_array(obj.get("points", []), "points", lambda entry: (
+                _label(entry), Point(*read_number(entry["xy"], "xy", 2)))),
+            lines=read_array(obj.get("lines", []), "lines", lambda abc: Line.from_coefficients(
+                *read_number(abc, "lines", 3))),
             viewbox=read_number(obj["viewbox"], "viewbox", 4) if "viewbox" in obj else None,
         )
     except (TypeError, AttributeError) as exc:  # a null or a wrongly nested value
@@ -81,10 +78,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def sample_conic(c: FocalConic, count: int = 512, r_clip: float = 1e3) -> list[list[Point]]:
-    """Polyline samples, split into branches at asymptotic directions."""
-    branches: list[list[Point]] = []
-    current: list[Point] = []
+def sample_conic(c: FocalConic, count: int = 512,
+                 r_clip: float = 1e3) -> list[list[tuple[float, float]]]:
+    """Polyline samples as (x, y) float pairs, split into branches at
+    asymptotic directions."""
+    c = FocalConic(float(c.p), float(c.t))  # plain floats in, plain floats out
+    branches: list[list[tuple[float, float]]] = []
+    current: list[tuple[float, float]] = []
     prev_r = None
     for j in range(count + 1):
         alpha = 2.0 * math.pi * j / count
@@ -99,7 +99,7 @@ def sample_conic(c: FocalConic, count: int = 512, r_clip: float = 1e3) -> list[l
             prev_r = None
             if not math.isfinite(r) or abs(r) > r_clip:
                 continue
-        current.append(Point(-c.p + r * math.cos(alpha), r * math.sin(alpha)))
+        current.append((-c.p + r * math.cos(alpha), r * math.sin(alpha)))
         prev_r = r
     if len(current) >= 2:
         branches.append(current)
@@ -117,8 +117,8 @@ def _auto_viewbox(s: Scene) -> tuple[float, float, float, float]:
         ys.append(p.y)
     for c in s.conics:
         for branch in sample_conic(c, count=64, r_clip=20.0):
-            xs += [p.x for p in branch]
-            ys += [p.y for p in branch]
+            xs += [x for x, _ in branch]
+            ys += [y for _, y in branch]
     if not xs:
         return (-2.0, -2.0, 4.0, 4.0)
     xmin, xmax = min(xs), max(xs)
@@ -159,8 +159,9 @@ def _escape(text) -> str:
     return text.replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
-def _points_attr(points) -> str:
-    return " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in points)
+def _points_attr(pairs) -> str:
+    """(x, y) float pairs as 'x,y x,y ...': repr is _fmt on a float."""
+    return " ".join(f"{x!r},{y!r}" for x, y in pairs)
 
 
 def render_svg(s: Scene) -> str:
@@ -188,7 +189,7 @@ def render_svg(s: Scene) -> str:
         color += 1
         tag = "polygon" if poly.closed else "polyline"
         body.append(
-            f'<{tag} points="{_points_attr(poly.vertices)}" fill="none" '
+            f'<{tag} points="{_points_attr((v.x, v.y) for v in poly.vertices)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{sw}"/>'
         )
     for line in s.lines:

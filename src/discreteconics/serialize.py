@@ -52,6 +52,18 @@ def read_number(value, field: str, k: int | None = None):
     raise MalformedInput(f"{field} must be an array of {k} numbers, got {value!r}")
 
 
+def read_array(value, field: str, read) -> tuple:
+    """value, a JSON array, as a tuple of read(x) for each entry x.  A plain
+    ValueError from read (a non-finite coordinate, say) is reported under
+    field; read's GeometryErrors pass through as they are."""
+    if type(value) not in (list, tuple):
+        raise MalformedInput(f"{field} must be an array, got {value!r}")
+    try:
+        return tuple(map(read, value))
+    except ValueError as exc:
+        raise MalformedInput(f"{field}: {exc}") from exc
+
+
 def polygon_from_dict(obj: dict) -> DiscreteConic:
     """The constructors' own rules hold (_check_theta_n, pencil_member), and
     the stated n (an integer) and closed (a boolean) must agree with the
@@ -62,7 +74,8 @@ def polygon_from_dict(obj: dict) -> DiscreteConic:
             t=read_number(obj["t"], "t"),
             theta=read_number(obj["theta"], "theta"),
             phi=read_number(obj["phi"], "phi"),
-            vertices=tuple(Point(*read_number(v, "vertices", 2)) for v in obj["vertices"]),
+            vertices=read_array(obj["vertices"], "vertices",
+                                lambda v: Point(*read_number(v, "vertices", 2))),
             meta=dict(obj.get("meta", {})),
         )
     except TypeError as exc:  # a null or a wrongly nested value
@@ -92,11 +105,11 @@ def report_from_dict(obj: dict) -> Report:
     """The stated max_residual and pass must agree with the residuals."""
     try:
         r = Report(
-            check=obj["check"],
+            check=_exact(obj["check"], "check", (str,), "a string"),
             residuals=tuple(read_number(r, "residuals") for r in
                             _exact(obj["residuals"], "residuals", (list,), "an array of numbers")),
             tolerance=read_number(obj["tolerance"], "tolerance"),
-            metadata=dict(obj.get("metadata", {})),
+            metadata=dict(_exact(obj.get("metadata", {}), "metadata", (dict,), "an object")),
         )
         worst = read_number(obj["max_residual"], "max_residual")
         passed = _exact(obj["pass"], "pass", (bool,), "a boolean")

@@ -23,6 +23,7 @@ from .kernel import (
     foot_perpendicular,
     intersect_lines,
     line_through,
+    map_xy,
     projective_from_correspondences,
     reflect_point,
     wrapped_diff,
@@ -116,12 +117,14 @@ def check_projective_regular(d: DiscreteConic, tol: float = PROJECTIVE_FLOOR) ->
     if d.n < 5:
         raise ValueError("need n >= 5 so a fifth vertex can test the map")
     w = max(1, d.winding)
-    target = [
-        Point(math.cos(2.0 * math.pi * w * j / d.n), math.sin(2.0 * math.pi * w * j / d.n))
-        for j in range(d.n)
-    ]
-    m = projective_from_correspondences(list(d.vertices[:4]), target[:4])
-    residuals = [distance(apply_map(m, d.vertices[j]), target[j]) for j in range(4, d.n)]
+    step = 2.0 * math.pi * w
+    basis = [Point(math.cos(step * j / d.n), math.sin(step * j / d.n)) for j in range(4)]
+    m = projective_from_correspondences(list(d.vertices[:4]), basis)
+    residuals = []
+    for j, v in enumerate(d.vertices[4:], 4):
+        mx, my = map_xy(m, v.x, v.y)
+        a = step * j / d.n
+        residuals.append(math.hypot(mx - math.cos(a), my - math.sin(a)))
     return make_report("projective_regular", residuals, tol, winding=w)
 
 
