@@ -87,5 +87,15 @@ expect 2 "echo '{\"lines\": [[1, $big, 0]]}' | $dc render --out big.svg"
 grep -q inf "$work/stderr" && ! grep -q -e nan -e Traceback "$work/stderr" \
     || { echo "FAIL render reported a NaN or a traceback"; status=1; }
 [ -e big.svg ] && { echo "FAIL render wrote big.svg"; status=1; }
+# A closed polygon whose inscribed member is a parabola: verify skips the
+# checks that need its second focus, which is at infinity.
+expect 0 "$dc generate --p 0.75 --t 2.716202746667414 --theta 2pi/5 --n 5 | $dc verify"
+grep -q Traceback "$work/stderr" && { echo "FAIL verify printed a traceback"; status=1; }
+# Five tiny steps make no turn: the chain is open, and a transform by a
+# multiple of a subnormal theta asserts no vertex correspondence.
+expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-12 --n 5 | grep -q '\"closed\": false'"
+expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-320 --n 5 | $dc transform --op G --angle 2pi/7"
+# verify's help lists its checks.
+expect 0 "$dc verify --help | grep -q pascal_line"
 
 exit $status

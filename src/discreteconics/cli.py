@@ -16,11 +16,11 @@ import re
 import sys
 
 from .errors import GeometryError, MalformedInput
-from .group import act_on_discrete, from_angle
 from .polygon import grid_layer, negative_pedal, synthesize
-from .render import render_svg, scene_from_dict
 from .serialize import polygon_from_dict, polygon_to_dict, report_to_dict
-from .verify import CHECK_NAMES, DEFAULT_TOL, run_checks
+
+# group, verify and render are imported by the handlers that run them, so a
+# call loads only the modules its subcommand needs.
 
 _ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*\*?\s*pi\s*(?:/\s*([0-9.]+))?$")
 _ANGLE_OPTIONS = ("--theta", "--phi", "--angle")
@@ -83,8 +83,21 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Gives `verify --check` its help text when help is printed: the text
+    lists verify.CHECK_NAMES, and parsing alone does not import verify."""
+
+    def format_help(self) -> str:
+        for action in self._actions:
+            if action.dest == "check":
+                from .verify import CHECK_NAMES
+
+                action.help = "'all' or one of: " + ", ".join(CHECK_NAMES)
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discreteconics",
         description="Construct, transform, verify and render discrete conics.",
     )
@@ -112,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--k", type=int, required=True)
 
     ver = add_parser("verify", help="run residual checks on a polygon from stdin")
-    ver.add_argument("--check", default="all",
-                     help="'all' or one of: " + ", ".join(CHECK_NAMES))
-    ver.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    ver.add_argument("--check", default="all")
+    ver.add_argument("--tol", type=_tolerance)  # verify.DEFAULT_TOL when absent
 
     ren = add_parser("render", help="render a scene or polygon JSON to SVG")
     ren.add_argument("--out", required=True)
@@ -122,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _transform(args) -> "DiscreteConic":
+    from .group import act_on_discrete, from_angle
+
     d = polygon_from_dict(_read_object())  # the input is read before the angle is checked
     return act_on_discrete(from_angle(args.op, args.angle), d)
 
@@ -141,13 +155,18 @@ def _print_polygon(args) -> int:
 
 
 def _verify(args) -> int:
+    from .verify import DEFAULT_TOL, run_checks
+
     names = None if args.check == "all" else [args.check]
-    reports = run_checks(polygon_from_dict(_read_object()), names=names, tol=args.tol)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    reports = run_checks(polygon_from_dict(_read_object()), names=names, tol=tol)
     _emit([report_to_dict(r) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _render(args) -> int:
+    from .render import render_svg, scene_from_dict
+
     svg = render_svg(scene_from_dict(_read_object()))
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -82,18 +82,19 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
 
     When the acted angle is an integer multiple k of the polygon's own theta,
     the image vertices coincide with tangent-line intersections (G) or chord
-    tangency points (H) taken k apart on the original carrier; that vertex
-    correspondence is verified numerically and recorded in the result's meta.
-    For other angles the parametric image is returned with the correspondence
-    flagged as not asserted.
+    tangency points (H) taken k apart on the original carrier; for
+    1 <= k <= n that vertex correspondence is verified numerically, on n + k
+    carrier lines, and recorded in the result's meta.  For other angles, and
+    for a ratio too large to be a float, the parametric image is returned
+    with the correspondence flagged as not asserted.
     """
     kind, psi = as_angle(e)
     out = image(e, d)
-    ratio = psi / d.theta
-    k = round(ratio)
+    ratio = psi / d.theta  # inf for a subnormal theta
+    k = round(ratio) if math.isfinite(ratio) else 0
     if psi < 1e-15:
         meta = {"vertex_correspondence": "identity"}
-    elif k >= 1 and abs(ratio - k) < 1e-9:
+    elif 1 <= k <= d.n and abs(ratio - k) < 1e-9:
         _verify_correspondence(d, out, kind, k)
         meta = {"vertex_correspondence": "verified", "k": k}
     else:

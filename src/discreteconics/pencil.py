@@ -87,7 +87,11 @@ class FocalConic:
 
     @property
     def center(self) -> Point:
-        # From the expanded implicit form; the major axis is the x-axis.
+        """From the expanded implicit form; the major axis is the x-axis.  A
+        parabola member (classify) has its center, and second focus, at
+        infinity: both raise ParabolaMember."""
+        if classify(self) == "parabola":
+            raise ParabolaMember(f"the parabola member t = {self.t} has no center")
         return Point(-self.p * (1.0 - self.t) / (1.0 - self.t * self.p * self.p), 0.0)
 
     @property

@@ -123,7 +123,10 @@ class DiscreteConic:
 
 
 def _is_closed(n: int, theta: float) -> bool:
-    return abs(normalize_angle(n * theta + math.pi) - math.pi) < _CLOSURE_EPS
+    """n*theta is a whole number of turns, and at least one: n*theta > pi,
+    which n tiny steps that add up to nearly nothing, or a NaN theta, fail."""
+    turns = n * theta
+    return turns > math.pi and abs(normalize_angle(turns + math.pi) - math.pi) < _CLOSURE_EPS
 
 
 def _check_theta_n(p: float, theta: float, n: int, phi: float) -> None:

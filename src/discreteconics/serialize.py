@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
 from .kernel import Point
 from .pencil import FocalConic, pencil_member
 from .polygon import DiscreteConic, _check_theta_n
-from .verify import Report
+
+if TYPE_CHECKING:  # the report functions import verify when they run
+    from .verify import Report
 
 
 def polygon_to_dict(d: DiscreteConic) -> dict:
@@ -103,6 +106,8 @@ def report_to_dict(r: Report) -> dict:
 
 def report_from_dict(obj: dict) -> Report:
     """The stated max_residual and pass must agree with the residuals."""
+    from .verify import Report
+
     try:
         r = Report(
             check=_exact(obj["check"], "check", (str,), "a string"),
@@ -130,6 +135,8 @@ def conic_from_dict(obj: dict) -> FocalConic:
 
 
 def serialize(obj) -> str:
+    from .verify import Report
+
     if isinstance(obj, DiscreteConic):
         return json.dumps(polygon_to_dict(obj))
     if isinstance(obj, Report):

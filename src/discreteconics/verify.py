@@ -29,6 +29,7 @@ from .kernel import (
     wrapped_diff,
 )
 from .pencil import (
+    classify,
     focal_parameter,
     parameter_of,
     pedal_circle,
@@ -116,7 +117,7 @@ def check_projective_regular(d: DiscreteConic, tol: float = PROJECTIVE_FLOOR) ->
         raise NotClosed("projective regularity is checked on closed polygons")
     if d.n < 5:
         raise ValueError("need n >= 5 so a fifth vertex can test the map")
-    w = max(1, d.winding)
+    w = d.winding  # at least 1 on a closed polygon
     step = 2.0 * math.pi * w
     basis = [Point(math.cos(step * j / d.n), math.sin(step * j / d.n)) for j in range(4)]
     m = projective_from_correspondences(list(d.vertices[:4]), basis)
@@ -342,23 +343,26 @@ def check_lemma(lemma_id: str, tol: float = 1e-9, **params) -> Report:
 # Batch runner
 
 # (skip reason, whether it applies to a polygon).
-_ALWAYS = (None, lambda d: False)
 _OPEN = ("open chain", lambda d: not d.closed)
 _N_GE_5 = ("needs a closed polygon with n >= 5", lambda d: not d.closed or d.n < 5)
 _EVEN = ("needs a closed even-sided polygon", lambda d: not d.closed or d.n % 2 != 0)
+# The second focus of a parabola is at infinity.
+_PARABOLA = ("inscribed member is a parabola", lambda d: classify(d.inner) == "parabola")
 
-# Check name -> (check(d, tol), skip rule).
+# Check name -> (check(d, tol), its skip rules; the first that applies wins).
 _CHECKS = {
-    "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), _ALWAYS),
-    "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), _ALWAYS),
-    "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), _OPEN),
+    "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), ()),
+    "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), ()),
+    "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), (_OPEN,)),
     "projective_regular": (
-        lambda d, tol: check_projective_regular(d, tol=max(tol, PROJECTIVE_FLOOR)), _N_GE_5
+        lambda d, tol: check_projective_regular(d, tol=max(tol, PROJECTIVE_FLOOR)), (_N_GE_5,)
     ),
-    "reflective": (lambda d, tol: check_reflective(d, tol=tol), _OPEN),
-    "isogonal": (lambda d, tol: check_isogonal(d, 1, 2 if d.n == 4 else 3, tol=tol), _OPEN),
-    "grid": (lambda d, tol: check_grid(d, 2, tol=tol), _N_GE_5),
-    "pascal_line": (lambda d, tol: check_pascal_line(d, tol=tol), _EVEN),
+    "reflective": (lambda d, tol: check_reflective(d, tol=tol), (_OPEN, _PARABOLA)),
+    "isogonal": (
+        lambda d, tol: check_isogonal(d, 1, 2 if d.n == 4 else 3, tol=tol), (_OPEN, _PARABOLA)
+    ),
+    "grid": (lambda d, tol: check_grid(d, 2, tol=tol), (_N_GE_5,)),
+    "pascal_line": (lambda d, tol: check_pascal_line(d, tol=tol), (_EVEN,)),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -376,10 +380,12 @@ def run_checks(d: DiscreteConic, names=None, tol: float = DEFAULT_TOL) -> list[R
     for name in names:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
-        check, (reason, skips) = _CHECKS[name]
+        check, rules = _CHECKS[name]
         try:
-            if skips(d):
-                reports.append(_skipped(name, tol, reason))
+            for reason, skips in rules:
+                if skips(d):
+                    reports.append(_skipped(name, tol, reason))
+                    break
             else:
                 reports.append(check(d, tol))
         except (AllOppositeSidesParallel, ParallelLines) as exc:
