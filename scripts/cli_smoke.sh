@@ -95,6 +95,9 @@ grep -q Traceback "$work/stderr" && { echo "FAIL verify printed a traceback"; st
 # multiple of a subnormal theta asserts no vertex correspondence.
 expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-12 --n 5 | grep -q '\"closed\": false'"
 expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-320 --n 5 | $dc transform --op G --angle 2pi/7"
+# An obtuse star whose grid check acts past pi: the error names k*theta.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 5pi/6 --n 12 | $dc verify"
+grep -q 'k\*theta' "$work/stderr" || { echo "FAIL verify did not name k*theta"; status=1; }
 # verify's help lists its checks.
 expect 0 "$dc verify --help | grep -q pascal_line"
 

@@ -53,10 +53,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
 
 def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
@@ -82,14 +78,7 @@ class Line:
 
     @classmethod
     def from_coefficients(cls, a: float, b: float, c: float) -> "Line":
-        _check_coefficients(a, b, c)  # before dividing, so the message shows the given values
-        norm = math.hypot(a, b)
-        if norm < DEGENERACY_EPS:
-            raise DegenerateConfiguration("line with zero normal vector")
-        a, b, c = a / norm, b / norm, c / norm
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b, c = -a, -b, -c
-        return cls(a, b, c)
+        return cls(*normalized_coefficients(a, b, c))
 
     def distance_to(self, p: Point) -> float:
         return abs(self.a * p.x + self.b * p.y + self.c)
@@ -107,13 +96,28 @@ def _check_coefficients(a: float, b: float, c: float) -> None:
         raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
 
 
+def normalized_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The (a, b, c) that Line.from_coefficients stores: scaled to
+    a^2 + b^2 = 1, with the first nonzero of (a, b) positive."""
+    _check_coefficients(a, b, c)  # before dividing, so the message shows the given values
+    norm = math.hypot(a, b)
+    if norm < DEGENERACY_EPS:
+        raise DegenerateConfiguration("line with zero normal vector")
+    a, b, c = a / norm, b / norm, c / norm
+    if a < 0.0 or (a == 0.0 and b < 0.0):
+        return -a, -b, -c
+    return a, b, c
+
+
 def line_through(p: Point, q: Point) -> Line:
+    return Line(*coefficients_through(p, q))
+
+
+def coefficients_through(p: Point, q: Point) -> tuple[float, float, float]:
+    """The normalized coefficients of line_through(p, q), without the Line."""
     if distance(p, q) < DEGENERACY_EPS:
         raise CoincidentPoints(f"points {p} and {q} coincide")
-    a = p.y - q.y
-    b = q.x - p.x
-    c = p.x * q.y - q.x * p.y
-    return Line.from_coefficients(a, b, c)
+    return normalized_coefficients(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:

@@ -7,10 +7,11 @@ The canonical parametrization is the focal polar form
     r(alpha) = sqrt(t) * (1 - p^2) / (1 - sqrt(t) * p * cos(alpha)),
 
 measured from F; r may be negative on the far branch of a hyperbola member.
-The pencil equation makes r = sqrt(t) * (1 + p*x), so the angle of a point at
-F, its signed focal parameter alpha (point_at(member, alpha) is the point), is
-the ray angle plus pi where 1 + p*x < 0.  focal_parameter is the one place
-that computes it.
+focal_radius evaluates it at one angle; focal_radii at many, with the same
+float operations and the member's constants formed once.  The pencil equation
+makes r = sqrt(t) * (1 + p*x), so the angle of a point at F, its signed focal
+parameter alpha (point_at(member, alpha) is the point), is the ray angle plus
+pi where 1 + p*x < 0.  focal_parameters is the one place that computes it.
 """
 
 from __future__ import annotations
@@ -136,6 +137,21 @@ def focal_radius(c: FocalConic, alpha: float) -> float:
         raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
     return rt * (1.0 - c.p * c.p) / denom
 
+
+def focal_radii(c: FocalConic, alphas):
+    """focal_radius at each angle, bit for bit: its float operations in its
+    order, with sqrt(t), sqrt(t)*p and sqrt(t)*(1 - p^2) formed once.  Lazy,
+    so a caller building a point per radius meets all errors in angle order."""
+    rt = math.sqrt(c.t)
+    rtp = rt * c.p
+    num = rt * (1.0 - c.p * c.p)
+    for alpha in alphas:
+        denom = 1.0 - rtp * math.cos(alpha)
+        if abs(denom) < DEGENERACY_EPS:
+            raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+        yield num / denom
+
+
 def point_at(c: FocalConic, alpha: float) -> Point:
     r = focal_radius(c, alpha)
     return Point(-c.p + r * math.cos(alpha), r * math.sin(alpha))
@@ -144,6 +160,11 @@ def point_at(c: FocalConic, alpha: float) -> Point:
 def parameter_of(p: float, x: Point) -> float:
     """The unique t whose member passes through x (foliation property)."""
     check_p(p)
+    return _parameter(p, x)
+
+
+def _parameter(p: float, x: Point) -> float:
+    """parameter_of for a p that check_p has passed."""
     denom = 1.0 + p * x.x
     if abs(denom) < DEGENERACY_EPS:
         raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
@@ -161,12 +182,24 @@ def focal_parameter(p: float, z: Point) -> float:
 
     The signed focal radius of z is sqrt(t) * (1 + p*x), with |z - F| its
     absolute value, so alpha is the ray angle from the focus, plus pi where
-    1 + p*x < 0 (the far branch of a hyperbola member).  parameter_of
-    validates p and z; the focus itself (t = 0) lies on no member."""
-    if parameter_of(p, z) == 0.0:
-        raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
-    beta = math.atan2(z.y, z.x + p)
-    return beta + math.pi if 1.0 + p * z.x < 0.0 else beta
+    1 + p*x < 0 (the far branch of a hyperbola member)."""
+    return focal_parameters(p, (z,))[1][0]
+
+
+def focal_parameters(p: float, points) -> tuple[list[float], list[float]]:
+    """parameter_of and focal_parameter of each point, as (ts, alphas), with
+    p checked once and each t computed once.  Every t is computed before any
+    alpha, so a point off every member (OnExcludedLine, NonFiniteParameter)
+    is reported before the focus (t = 0), which lies on no member."""
+    check_p(p)
+    ts = [_parameter(p, z) for z in points]
+    alphas = []
+    for t, z in zip(ts, points):
+        if t == 0.0:
+            raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
+        beta = math.atan2(z.y, z.x + p)
+        alphas.append(beta + math.pi if 1.0 + p * z.x < 0.0 else beta)
+    return ts, alphas
 
 
 def quadratic_form(c: FocalConic) -> QuadraticForm:

@@ -28,7 +28,7 @@ from .kernel import (
     normalize_angle,
     total_least_squares_line,
 )
-from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at
+from .pencil import FocalConic, check_p, focal_parameter, focal_radii, pencil_member, point_at
 
 _CLOSURE_EPS = 1e-9
 
@@ -144,7 +144,9 @@ def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> Discrete
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
     _check_theta_n(p, theta, n, phi)
     c = pencil_member(p, t)
-    verts = tuple(point_at(c, phi + j * theta) for j in range(n))
+    alphas = [phi + j * theta for j in range(n)]
+    verts = tuple(Point(-c.p + r * math.cos(a), r * math.sin(a))
+                  for a, r in zip(alphas, focal_radii(c, alphas)))
     return DiscreteConic(c.p, c.t, theta, phi, verts)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import AsymptoticDirection, EmptyScene, MalformedInput
 from .kernel import Line, Point
-from .pencil import FocalConic, focal_radius
+from .pencil import FocalConic, focal_radii
 from .polygon import DiscreteConic
 from .serialize import (conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict,
                         read_array, read_number)
@@ -83,15 +83,18 @@ def sample_conic(c: FocalConic, count: int = 512,
     """Polyline samples as (x, y) float pairs, split into branches at
     asymptotic directions."""
     c = FocalConic(float(c.p), float(c.t))  # plain floats in, plain floats out
+    alphas = [2.0 * math.pi * j / count for j in range(count + 1)]
+    radii: list[float] = []
+    while len(radii) < len(alphas):  # an asymptotic direction reads as an infinite radius
+        try:
+            for r in focal_radii(c, alphas[len(radii):]):
+                radii.append(r)
+        except AsymptoticDirection:
+            radii.append(math.inf)
     branches: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     prev_r = None
-    for j in range(count + 1):
-        alpha = 2.0 * math.pi * j / count
-        try:
-            r = focal_radius(c, alpha)
-        except AsymptoticDirection:
-            r = math.inf
+    for alpha, r in zip(alphas, radii):
         if not math.isfinite(r) or abs(r) > r_clip or (prev_r is not None and r * prev_r < 0.0):
             if len(current) >= 2:
                 branches.append(current)

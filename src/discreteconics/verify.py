@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
+from .errors import AllOppositeSidesParallel, AngleOutOfRange, NotClosed, ParallelLines
 from .group import from_angle, image
 from .kernel import (
     Line,
     Point,
     _triangle_area_residual,
     apply_map,
+    coefficients_through,
     directed_angle,
     distance,
     foot_perpendicular,
@@ -31,7 +32,7 @@ from .kernel import (
 from .pencil import (
     classify,
     focal_parameter,
-    parameter_of,
+    focal_parameters,
     pedal_circle,
     pencil_member,
     point_at,
@@ -87,7 +88,10 @@ _inner_member = DiscreteConic.inner.fget
 
 def _parameter_step_residuals(p: float, points, theta: float, closed: bool) -> list[float]:
     """|focal-parameter step - theta| for consecutive points, wrap-aware."""
-    alphas = [focal_parameter(p, z) for z in points]
+    return _step_residuals(focal_parameters(p, points)[1], theta, closed)
+
+
+def _step_residuals(alphas: list[float], theta: float, closed: bool) -> list[float]:
     last = len(alphas) if closed else len(alphas) - 1
     return [
         abs(wrapped_diff(alphas[(i + 1) % len(alphas)] - alphas[i], theta))
@@ -143,16 +147,17 @@ def check_diagonals(d: DiscreteConic, tol: float = 1e-9) -> Report:
     if not d.closed:
         raise NotClosed("diagonals are checked on closed polygons")
     f = d.focus
-    residuals = []
     if d.n % 2 == 0:
-        for j in range(1, d.n // 2 + 1):
-            residuals.append(line_through(d.vertex(j), d.vertex(j + d.n // 2)).distance_to(f))
+        chords = [(d.vertex(j), d.vertex(j + d.n // 2)) for j in range(1, d.n // 2 + 1)]
         pairing = "vertex-vertex"
     else:
         m = tangency_points(d)
-        for j in range(1, d.n + 1):
-            residuals.append(line_through(d.vertex(j), m.vertex(j + (d.n - 1) // 2)).distance_to(f))
+        chords = [(d.vertex(j), m.vertex(j + (d.n - 1) // 2)) for j in range(1, d.n + 1)]
         pairing = "vertex-tangency"
+    residuals = []
+    for u, v in chords:  # line_through(u, v).distance_to(f), without the Line
+        a, b, c = coefficients_through(u, v)
+        residuals.append(abs(a * f.x + b * f.y + c))
     return make_report("diagonals", residuals, tol, pairing=pairing)
 
 
@@ -218,13 +223,19 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     image is group.image: the distance residual is its correspondence test.
     """
     layer = grid_layer(d, k)
-    t_vals = [parameter_of(d.p, z) for z in layer.vertices]
+    t_vals, alphas = focal_parameters(d.p, layer.vertices)
     t_mean = sum(t_vals) / len(t_vals)
     residuals = [abs(t - t_mean) for t in t_vals]
-    residuals += _parameter_step_residuals(d.p, layer.vertices, d.theta, closed=True)
+    residuals += _step_residuals(alphas, d.theta, closed=True)
     k_eff = min(k, d.n - k)
     shift = 0 if k_eff == k else k
-    g = image(from_angle("G", k_eff * d.theta), tangency_points(d)).vertices
+    try:
+        g_k = from_angle("G", k_eff * d.theta)
+    except AngleOutOfRange:  # name the k and theta the caller gave
+        acted = "k*theta" if k_eff == k else "(n - k)*theta"
+        raise AngleOutOfRange(f"grid k = {k} at theta = {d.theta}: the acted angle "
+                              f"{acted} = {k_eff * d.theta} must lie in [0, pi)") from None
+    g = image(g_k, tangency_points(d)).vertices
     residuals.append(max(distance(z, g[(i + shift) % d.n]) for i, z in enumerate(layer.vertices)))
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
