@@ -98,6 +98,9 @@ expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-320 --n 5 | $dc transform --op G
 # An obtuse star whose grid check acts past pi: the error names k*theta.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 5pi/6 --n 12 | $dc verify"
 grep -q 'k\*theta' "$work/stderr" || { echo "FAIL verify did not name k*theta"; status=1; }
+# A transform angle outside [0, pi): the error names the element and its angle.
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | $dc transform --op G --angle 7pi/6"
+grep -q 'G acts at the angle' "$work/stderr" || { echo "FAIL transform did not name G's angle"; status=1; }
 # verify's help lists its checks.
 expect 0 "$dc verify --help | grep -q pascal_line"
 

@@ -15,37 +15,111 @@ every output is hashed by kind:
     images          G and H images (act_on_discrete), as polygon JSON
     negative_pedal  the pedal scaffold and polygon
     svg             render_svg of the carrier with the polygon (and layer)
+    dual_conic      dual_conic of each op's pencil member, with
+                    require_focus_inside on and off
+    cli             the fixed cli.main pipelines of CLI_PIPELINES: each call's
+                    stdout, stderr and exit code, and the files it writes
 
-An op that raises records the exception type, not its message.  Prints one
-sha256 per kind for each tree and exits 1 on any difference.  Run from a
-source checkout; `--src DIR` prints the digests of the tree at DIR alone.
+An op that raises records the exception type, not its message; a CLI call's
+stderr is hashed as it is.  Prints one sha256 per kind for each tree and
+exits 1 on any difference.  Run from a source checkout; `--src DIR` prints
+the digests of the tree at DIR alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KINDS = ("reports", "polygon_json", "grid_layers", "images", "negative_pedal", "svg")
+KINDS = ("reports", "polygon_json", "grid_layers", "images", "negative_pedal", "svg",
+         "dual_conic", "cli")
 # (workload, seed, number of ops from op 0)
 SCHEDULES = (("large_n", 3, 90), ("sweep", 3, 3000))
+
+
+def echo(text: str):
+    """A pipeline stage that prints text, as `echo` does."""
+    return lambda _: text + "\n"
+
+
+def sed(pattern: str, repl: str):
+    """A pipeline stage that edits its input as `sed 's/pattern/repl/'` does
+    on one-line JSON: the first match only."""
+    return lambda text: re.sub(pattern, repl, text, count=1)
+
+
+GEN = "generate --p 0.75 --t 0.5 --theta pi/6 --n 12"
+GEN8 = "generate --p 0.5 --t 1 --theta 2pi/8 --n 8"
+BIG = "9" * 401  # a JSON integer beyond float range
+# Each pipeline of scripts/cli_smoke.sh that runs the CLI, as the script stood
+# when these kinds were added, then each subcommand's --help.  A str stage is
+# a cli.main argv; its stdin is the previous stage's stdout.  The list is
+# fixed, so a pipeline added to the smoke script later does not change the hash.
+CLI_PIPELINES = (
+    (GEN,),
+    ("pedal --p 0.75 --theta pi/6 --n 12",),
+    (GEN8, "transform --op G --angle 2pi/8"),
+    (GEN, "grid --k 3"),
+    (GEN, "verify --check all"),
+    ("generate --p 0.75 --t 1 --theta 2pi/6 --n 6", "render --out figure.svg"),
+    ("generate --p 0.3 --t 20 --theta 2pi/7 --n 7", "verify"),
+    ("generate --p 0.5 --t 20 --theta 2pi/8 --n 8", "grid --k 2", "verify"),
+    (GEN, "verify --tol 1e-300"),
+    ("generate --p 1 --t 0.5 --theta pi/6 --n 12",),
+    ("generate --p 0.5 --t 1 --theta pi/0 --n 8",),
+    (echo('{"conics": 5}'), "render --out scene.svg"),
+    ("generate --p 0.5 --t 1 --theta 2pi/8 --n 7", sed('"closed": false', '"closed": true'),
+     "verify"),
+    (echo('{"conics": [{"p": NaN, "t": 1}]}'), "render --out nan.svg"),
+    (echo('{"p": 0.5, "t": 1, "theta": 1, "phi": 0, "n": 0, "closed": true, "vertices": []}'),
+     "render --out e.svg"),
+    (GEN8, sed('"theta": [^,]*', '"theta": 0.0'), "grid --k 2"),
+    (GEN8, sed('"p": [^,]*', '"p": 1.0'), "verify --check projective_regular"),
+    (echo('{"lines": [[NaN, 1, 0]]}'), "render --out line.svg"),
+    (echo('{"p": 0.5, "t": 1.0, "theta": 0.7853981633974483, "phi": 0.0, "n": 4, '
+          '"closed": false, "vertices": [[1e200, 1e200], [0.3, 0.2], [0.1, 0.5], [0.2, 0.1]]}'),
+     "verify"),
+    ("generate --p 0.5 --t 1 --theta 2pi/8 --phi -pi/3 --n 8",),
+    (GEN8, sed('"closed": true', '"closed": "no"'), "verify"),
+    (echo(r'{"points": [{"label": "a\"b&c", "xy": [0, 0]}]}'), "render --out label.svg"),
+    (GEN8, sed('"p": [^,]*', '"p": "0.5"'), "verify"),
+    (GEN8, sed('"p": [^,]*', f'"p": {BIG}'), "verify"),
+    (echo(r'{"points": [{"label": "a\u0001b", "xy": [0, 0]}]}'), "render --out ctl.svg"),
+    ("generate --p 0.5 --t 1 --theta 2pi/8 --ph -pi/3 --n 8",),
+    (GEN8, sed(r'"vertices": .*\]\]', '"vertices": null'), "verify"),
+    (echo('{"points": 5}'), "render --out points.svg"),
+    (echo(f'{{"lines": [[1, {BIG}, 0]]}}'), "render --out big.svg"),
+    ("generate --p 0.75 --t 2.716202746667414 --theta 2pi/5 --n 5", "verify"),
+    ("generate --p 0.5 --t 1 --theta 1e-12 --n 5",),
+    ("generate --p 0.5 --t 1 --theta 1e-320 --n 5", "transform --op G --angle 2pi/7"),
+    ("generate --p 0.5 --t 1 --theta 5pi/6 --n 12", "verify"),
+    ("--help",),
+    *((f"{sub} --help",) for sub in ("generate", "pedal", "transform", "grid", "verify", "render")),
+)
 
 
 def digests(src: Path) -> dict[str, str]:
     """sha256 per kind of every output of the tree at src."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import inputs
+    from discreteconics.cli import main
+    from discreteconics.duality import Reciprocator, dual_conic
     from discreteconics.group import act_on_discrete, from_angle
     from discreteconics.polygon import closed_form_vertices, grid_layer, negative_pedal, synthesize
     from discreteconics.render import Scene, render_svg
     from discreteconics.serialize import polygon_to_dict
+    from discreteconics.pencil import pencil_member
     from discreteconics.verify import run_checks
 
     hashes = {kind: hashlib.sha256() for kind in KINDS}
@@ -59,6 +133,10 @@ def digests(src: Path) -> dict[str, str]:
             return None
         hashes[kind].update(f"{key} {text(out)}\n".encode())
         return out
+
+    def dual_circle(p, t, inside) -> str:
+        c = pencil_member(p, t)
+        return repr(dual_conic(Reciprocator(c.focus), c, inside))
 
     def text(out) -> str:
         if isinstance(out, str):
@@ -75,6 +153,8 @@ def digests(src: Path) -> dict[str, str]:
         for i in range(count):
             inp = schedule.op_input(i)
             key = f"{name}:{seed}:{i}"
+            for inside in (True, False):
+                record("dual_conic", f"{key}:{inside}", dual_circle, inp.p, inp.t, inside)
             d = record("polygon_json", key, synthesize, inp.p, inp.t, inp.theta, inp.phi, inp.n)
             if d is None:
                 continue
@@ -89,7 +169,32 @@ def digests(src: Path) -> dict[str, str]:
                             inp.p, inp.theta, inp.phi + inp.theta, inp.n)
                 if cf is not None:
                     record("images", f"{key}:G", act_on_discrete, from_angle("G", inp.theta), cf)
+    for j, stages in enumerate(CLI_PIPELINES):
+        hashes["cli"].update(f"pipeline {j}\n".encode())
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            text = ""
+            for stage in stages:
+                text = stage(text) if callable(stage) else cli_call(main, stage, text, hashes["cli"])
+            for path in sorted(Path(tmp).iterdir()):
+                hashes["cli"].update(f"wrote {path.name}\n".encode() + path.read_bytes())
     return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+def cli_call(main, argv: str, stdin: str, h) -> str:
+    """Hash main's exit code, stdout and stderr on argv and stdin into h;
+    return its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(shlex.split(argv))
+            except SystemExit as exc:  # --help, and argparse's usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    h.update(f"{argv} exit {code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    return out.getvalue()
 
 
 def run_tree(src: Path) -> dict[str, str]:

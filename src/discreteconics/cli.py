@@ -9,7 +9,6 @@ file.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -96,41 +95,20 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="discreteconics",
-        description="Construct, transform, verify and render discrete conics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)  # '--ph' is not '--phi'
-
-    gen = add_parser("generate", help="equal-focal-angle polygon on a pencil member")
-    gen.add_argument("--p", type=float, required=True)
-    gen.add_argument("--t", type=float, required=True)
-    gen.add_argument("--theta", type=parse_angle, required=True)
-    gen.add_argument("--phi", type=parse_angle, default=0.0)
-    gen.add_argument("--n", type=int, required=True)
-
-    ped = add_parser("pedal", help="discrete negative-pedal construction")
-    ped.add_argument("--p", type=float, required=True)
-    ped.add_argument("--theta", type=parse_angle, required=True)
-    ped.add_argument("--phi", type=parse_angle, default=0.0)
-    ped.add_argument("--n", type=int, required=True)
-
-    tra = add_parser("transform", help="apply a group element to a polygon from stdin")
-    tra.add_argument("--op", choices=("G", "H"), required=True)
-    tra.add_argument("--angle", type=parse_angle, required=True)
-
-    grd = add_parser("grid", help="intersections of side lines k apart")
-    grd.add_argument("--k", type=int, required=True)
-
-    ver = add_parser("verify", help="run residual checks on a polygon from stdin")
-    ver.add_argument("--check", default="all")
-    ver.add_argument("--tol", type=_tolerance)  # verify.DEFAULT_TOL when absent
-
-    ren = add_parser("render", help="render a scene or polygon JSON to SVG")
-    ren.add_argument("--out", required=True)
-    return parser
+# Option -> its argparse keywords, the same for every subcommand that takes it.
+_OPTIONS = {
+    "--p": dict(type=float, required=True),
+    "--t": dict(type=float, required=True),
+    "--theta": dict(type=parse_angle, required=True),
+    "--phi": dict(type=parse_angle, default=0.0),
+    "--n": dict(type=int, required=True),
+    "--op": dict(choices=("G", "H"), required=True),
+    "--angle": dict(type=parse_angle, required=True),
+    "--k": dict(type=int, required=True),
+    "--check": dict(default="all"),
+    "--tol": dict(type=_tolerance),  # verify.DEFAULT_TOL when absent
+    "--out": dict(required=True),
+}
 
 
 def _transform(args) -> "DiscreteConic":
@@ -138,20 +116,6 @@ def _transform(args) -> "DiscreteConic":
 
     d = polygon_from_dict(_read_object())  # the input is read before the angle is checked
     return act_on_discrete(from_angle(args.op, args.angle), d)
-
-
-# Subcommand -> the polygon it prints.
-_POLYGON_OF = {
-    "generate": lambda args: synthesize(args.p, args.t, args.theta, args.phi, args.n),
-    "pedal": lambda args: negative_pedal(args.p, args.theta, args.phi, args.n)[1],
-    "transform": _transform,
-    "grid": lambda args: grid_layer(polygon_from_dict(_read_object()), args.k),
-}
-
-
-def _print_polygon(args) -> int:
-    _emit(polygon_to_dict(_POLYGON_OF[args.command](args)))
-    return 0
 
 
 def _verify(args) -> int:
@@ -173,14 +137,42 @@ def _render(args) -> int:
     return 0
 
 
-# Subcommand -> its handler, for those that do not print a polygon.
-_HANDLERS = {"verify": _verify, "render": _render}
+# Subcommand -> (help, options, handler); a handler returns an exit code or a polygon to print.
+_SUBCOMMANDS = {
+    "generate": ("equal-focal-angle polygon on a pencil member", "--p --t --theta --phi --n",
+                 lambda args: synthesize(args.p, args.t, args.theta, args.phi, args.n)),
+    "pedal": ("discrete negative-pedal construction", "--p --theta --phi --n",
+              lambda args: negative_pedal(args.p, args.theta, args.phi, args.n)[1]),
+    "transform": ("apply a group element to a polygon from stdin", "--op --angle", _transform),
+    "grid": ("intersections of side lines k apart", "--k",
+             lambda args: grid_layer(polygon_from_dict(_read_object()), args.k)),
+    "verify": ("run residual checks on a polygon from stdin", "--check --tol", _verify),
+    "render": ("render a scene or polygon JSON to SVG", "--out", _render),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="discreteconics",
+        description="Construct, transform, verify and render discrete conics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, handler) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=text, allow_abbrev=False)  # '--ph' is not '--phi'
+        for option in options.split():
+            cmd.add_argument(option, **_OPTIONS[option])
+        cmd.set_defaults(run=handler)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_angles(sys.argv[1:] if argv is None else argv))
     try:
-        return _HANDLERS.get(args.command, _print_polygon)(args)
+        out = args.run(args)
+        if isinstance(out, int):
+            return out
+        _emit(polygon_to_dict(out))
+        return 0
     except (GeometryError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

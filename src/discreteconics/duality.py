@@ -19,7 +19,7 @@ from .errors import (
     LineThroughCenter,
 )
 from .kernel import DEGENERACY_EPS, Line, Point, distance, foot_perpendicular
-from .pencil import Circle, FocalConic, _sampled_tangents, fit_circle, tangent_at
+from .pencil import Circle, FocalConic, _sampled_tangents, fit_circle
 
 _SAMPLES = 32  # tangent lines whose poles are fitted
 _FIT_TOL = 1e-9  # largest pole deviation from the fit, relative to max(1, radius)
@@ -76,24 +76,21 @@ def dual_conic(r: Reciprocator, c: FocalConic, require_focus_inside: bool = True
 
     The poles of sampled tangent lines are fitted to a circle; the fit
     residual is itself a correctness check.  Tangents through the center
-    (measure zero) are skipped and replaced by a nearby sample.  When
-    require_focus_inside is set and the focus lies outside the fitted
-    circle, FocusOutsideDual is raised.  Changing the inversion radius k is
-    a homothety about the focus, so no other radius could put it inside:
-    with a hyperbola member the focus is always outside, so pass
-    require_focus_inside=False to accept that configuration.
+    (measure zero) are skipped.  When require_focus_inside is set and the
+    focus lies outside the fitted circle, FocusOutsideDual is raised.
+    Changing the inversion radius k is a homothety about the focus, so no
+    other radius could put it inside: with a hyperbola member the focus is
+    always outside, so pass require_focus_inside=False to accept that
+    configuration.
     """
     if distance(r.center, c.focus) > 1e-9:
         raise CenterNotFocus(f"reciprocation center {r.center} is not the focus {c.focus}")
     poles = []
-    for alpha, line in _sampled_tangents(c, _SAMPLES):
-        for _ in range(4):
-            try:
-                poles.append(pole_of(r, line))
-                break
-            except LineThroughCenter:
-                alpha += 1e-6
-                line = tangent_at(c, alpha)
+    for _, line in _sampled_tangents(c, _SAMPLES):
+        try:
+            poles.append(pole_of(r, line))
+        except LineThroughCenter:  # a tangent through the focus has no pole
+            pass
     circ = fit_circle(poles)
     dev = max(
         abs(math.hypot(p.x - circ.center.x, p.y - circ.center.y) - circ.radius)

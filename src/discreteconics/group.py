@@ -35,13 +35,14 @@ IDENTITY = GroupElement(1.0)
 
 def from_angle(kind: str, theta: float) -> GroupElement:
     """G gives s = sec(theta/2), H gives s = cos(theta/2); theta in [0, pi)."""
+    if kind not in ("G", "H"):
+        raise ValueError(f"kind must be 'G' or 'H', got {kind!r}")
     if not 0.0 <= theta < math.pi:
-        raise AngleOutOfRange(f"theta must lie in [0, pi), got {theta}")
+        raise AngleOutOfRange(f"{kind} acts at the angle theta = {theta}, "
+                              "but theta must lie in [0, pi)")
     if kind == "G":
         return GroupElement(1.0 / math.cos(theta / 2.0))
-    if kind == "H":
-        return GroupElement(math.cos(theta / 2.0))
-    raise ValueError(f"kind must be 'G' or 'H', got {kind!r}")
+    return GroupElement(math.cos(theta / 2.0))
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:

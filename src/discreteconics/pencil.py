@@ -50,29 +50,15 @@ class QuadraticForm:
     E: float
     G: float
 
-    def value_at(self, p: Point) -> float:
-        x, y = p.x, p.y
-        return (
-            self.A * x * x
-            + self.B * x * y
-            + self.C * y * y
-            + self.D * x
-            + self.E * y
-            + self.G
-        )
-
     def residual_at(self, p: Point) -> float:
         """|value| normalized by the size of the evaluated terms."""
         x, y = p.x, p.y
-        scale = (
-            abs(self.A * x * x)
-            + abs(self.B * x * y)
-            + abs(self.C * y * y)
-            + abs(self.D * x)
-            + abs(self.E * y)
-            + abs(self.G)
-        )
-        return abs(self.value_at(p)) / max(scale, 1.0)
+        terms = (self.A * x * x, self.B * x * y, self.C * y * y, self.D * x, self.E * y, self.G)
+        value = scale = 0.0
+        for term in terms:  # left to right, as the formula reads; sum() may compensate
+            value += term
+            scale += abs(term)
+        return abs(value) / max(scale, 1.0)
 
 
 @dataclass(frozen=True)

@@ -70,19 +70,17 @@ def read_array(value, field: str, read) -> tuple:
 def polygon_from_dict(obj: dict) -> DiscreteConic:
     """The constructors' own rules hold (_check_theta_n, pencil_member), and
     the stated n (an integer) and closed (a boolean) must agree with the
-    vertices and theta."""
-    try:
-        d = DiscreteConic(
-            p=read_number(obj["p"], "p"),
-            t=read_number(obj["t"], "t"),
-            theta=read_number(obj["theta"], "theta"),
-            phi=read_number(obj["phi"], "phi"),
-            vertices=read_array(obj["vertices"], "vertices",
-                                lambda v: Point(*read_number(v, "vertices", 2))),
-            meta=dict(obj.get("meta", {})),
-        )
-    except TypeError as exc:  # a null or a wrongly nested value
-        raise MalformedInput(f"malformed polygon: {exc}") from exc
+    vertices and theta; meta, if present, must be an object."""
+    _exact(obj, "polygon", (dict,), "an object")
+    d = DiscreteConic(
+        p=read_number(obj["p"], "p"),
+        t=read_number(obj["t"], "t"),
+        theta=read_number(obj["theta"], "theta"),
+        phi=read_number(obj["phi"], "phi"),
+        vertices=read_array(obj["vertices"], "vertices",
+                            lambda v: Point(*read_number(v, "vertices", 2))),
+        meta=dict(_exact(obj.get("meta", {}), "meta", (dict,), "an object")),
+    )
     n = _exact(obj["n"], "n", (int,), "an integer")
     closed = _exact(obj["closed"], "closed", (bool,), "a boolean")
     _check_theta_n(d.p, d.theta, d.n, d.phi)
