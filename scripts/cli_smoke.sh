@@ -101,6 +101,12 @@ grep -q 'k\*theta' "$work/stderr" || { echo "FAIL verify did not name k*theta"; 
 # A transform angle outside [0, pi): the error names the element and its angle.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | $dc transform --op G --angle 7pi/6"
 grep -q 'G acts at the angle' "$work/stderr" || { echo "FAIL transform did not name G's angle"; status=1; }
+# A scene conic entry that is no object, and a polygon without p: each is named.
+expect 2 "echo '{\"conics\": [5]}' | $dc render --out conic.svg"
+grep -q 'conic must be an object' "$work/stderr" || { echo "FAIL render did not name the conic"; status=1; }
+[ -e conic.svg ] && { echo "FAIL render wrote conic.svg"; status=1; }
+expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | sed 's/\"p\": [^,]*, //' | $dc verify"
+grep -q 'missing key' "$work/stderr" || { echo "FAIL verify did not name the missing key"; status=1; }
 # verify's help lists its checks.
 expect 0 "$dc verify --help | grep -q pascal_line"
 

@@ -173,7 +173,10 @@ def main(argv=None) -> int:
             return out
         _emit(polygon_to_dict(out))
         return 0
-    except (GeometryError, ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:  # a required JSON key is absent
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ from .errors import AsymptoticDirection, EmptyScene, MalformedInput
 from .kernel import Line, Point
 from .pencil import FocalConic, focal_radii
 from .polygon import DiscreteConic
-from .serialize import (conic_from_dict, conic_to_dict, polygon_from_dict, polygon_to_dict,
-                        read_array, read_number)
+from .serialize import (_exact, conic_from_dict, conic_to_dict, polygon_from_dict,
+                        polygon_to_dict, read_array, read_number)
 
 _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _WIDTH = 800  # SVG width attribute; the height follows the viewbox aspect
@@ -49,7 +49,8 @@ def _xml_char(c: str) -> bool:
 
 
 def _label(entry: dict) -> str:
-    label = entry.get("label", "")
+    """The label of a scene point entry, which must be an object."""
+    label = _exact(entry, "point", (dict,), "an object").get("label", "")
     if type(label) is not str or not all(map(_xml_char, label)):
         raise MalformedInput(f"label must be a string of XML 1.0 characters, got {label!r}")
     return label
@@ -57,21 +58,18 @@ def _label(entry: dict) -> str:
 
 def scene_from_dict(obj: dict) -> Scene:
     """A scene object, or a polygon object drawn with its carrier and focus F."""
-    if "vertices" in obj:
+    if "vertices" in _exact(obj, "scene", (dict,), "an object"):
         poly = polygon_from_dict(obj)
         return Scene(conics=(poly.carrier,), polygons=(poly,), points=(("F", poly.focus),))
-    try:
-        return Scene(
-            conics=read_array(obj.get("conics", []), "conics", conic_from_dict),
-            polygons=read_array(obj.get("polygons", []), "polygons", polygon_from_dict),
-            points=read_array(obj.get("points", []), "points", lambda entry: (
-                _label(entry), Point(*read_number(entry["xy"], "xy", 2)))),
-            lines=read_array(obj.get("lines", []), "lines", lambda abc: Line.from_coefficients(
-                *read_number(abc, "lines", 3))),
-            viewbox=read_number(obj["viewbox"], "viewbox", 4) if "viewbox" in obj else None,
-        )
-    except (TypeError, AttributeError) as exc:  # a null or a wrongly nested value
-        raise MalformedInput(f"malformed scene: {exc}") from exc
+    return Scene(
+        conics=read_array(obj.get("conics", []), "conics", conic_from_dict),
+        polygons=read_array(obj.get("polygons", []), "polygons", polygon_from_dict),
+        points=read_array(obj.get("points", []), "points", lambda entry: (
+            _label(entry), Point(*read_number(entry["xy"], "xy", 2)))),
+        lines=read_array(obj.get("lines", []), "lines", lambda abc: Line.from_coefficients(
+            *read_number(abc, "lines", 3))),
+        viewbox=read_number(obj["viewbox"], "viewbox", 4) if "viewbox" in obj else None,
+    )
 
 
 def _fmt(x: float) -> str:

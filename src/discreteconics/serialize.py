@@ -106,6 +106,7 @@ def report_from_dict(obj: dict) -> Report:
     """The stated max_residual and pass must agree with the residuals."""
     from .verify import Report
 
+    _exact(obj, "report", (dict,), "an object")
     try:
         r = Report(
             check=_exact(obj["check"], "check", (str,), "a string"),
@@ -116,7 +117,7 @@ def report_from_dict(obj: dict) -> Report:
         )
         worst = read_number(obj["max_residual"], "max_residual")
         passed = _exact(obj["pass"], "pass", (bool,), "a boolean")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # a missing key, or no residuals
         raise MalformedInput(f"malformed report: {exc!r}") from exc
     if (repr(worst), passed) != (repr(r.max_residual), r.passed):  # repr: NaN matches NaN
         raise MalformedInput(f"max_residual = {worst}, pass = {passed} but the residuals "
@@ -129,6 +130,7 @@ def conic_to_dict(c: FocalConic) -> dict:
 
 
 def conic_from_dict(obj: dict) -> FocalConic:
+    _exact(obj, "conic", (dict,), "an object")
     return pencil_member(read_number(obj["p"], "p"), read_number(obj["t"], "t"))
 
 
