@@ -224,11 +224,11 @@ def tangency_points(d: DiscreteConic) -> DiscreteConic:
 def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
     """Polygon of intersections of side lines k apart: Z_i = S_i n S_{i+k}.
 
-    Lands on the t*cos^2(theta/2)*sec^2(k*theta/2) member; equals the
-    G_{k*theta} image of the tangency-point polygon as a vertex set.  phi is
-    the focal parameter of Z_1, so synthesize reproduces the layer.  The
-    layer is cached on d (d.layers[k]) once built: every call on one
-    instance returns the same object, and a call that raises caches nothing.
+    Lands on the t*cos^2(theta/2)*sec^2(k*theta/2) member, Z_i at focal angle
+    d.phi + theta/2 + (i-1)*theta + k*theta/2, plus pi where cos(k*theta/2) < 0.
+    The layer's phi is Z_1's focal parameter, so synthesize reproduces it.
+    It is cached on d (d.layers[k]) once built: every call on one instance
+    returns the same object, and a call that raises caches nothing.
     """
     if k in d.layers:
         return d.layers[k]

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AllOppositeSidesParallel, AngleOutOfRange, NotClosed, ParallelLines
-from .group import from_angle, image
+from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
 from .kernel import (
     Line,
     Point,
     _triangle_area_residual,
-    apply_map,
     coefficients_through,
     directed_angle,
     distance,
@@ -39,7 +37,13 @@ from .pencil import (
     tangency_residuals,
     tangent_at,
 )
-from .polygon import DiscreteConic, _indexed_opposite_intersections, grid_layer, tangency_points
+from .polygon import (
+    DiscreteConic,
+    _indexed_opposite_intersections,
+    grid_layer,
+    synthesize,
+    tangency_points,
+)
 
 DEFAULT_TOL = 1e-8
 # projective_regular never runs at a tighter tolerance than this.
@@ -212,31 +216,23 @@ def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Repor
 
 def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     """Intersections of side lines k apart form another discrete conic with
-    the same angle, and equal the k-step tangent-intersection image of the
-    tangency-point polygon.
+    the same angle, at the points the closed form gives.
 
-    Z_i = S_i n S_{i+k} meets the tangents at M_i and M_{i+k}, so it is
-    vertex i of the G_{k*theta} image of the tangency polygon M.  For
-    k > n/2 the image is taken at k_eff = n - k (G needs an angle below pi),
-    and Z_i = S_{i+k} n S_{i+k+k_eff} is its vertex i + k.  The vertex
-    correspondence is fixed by these indices, so the check is O(n).  The
-    image is group.image: the distance residual is its correspondence test.
+    Z_i = S_i n S_{i+k} lies on grid_layer's member at focal angle
+    phi + theta/2 + (i-1)*theta + k*theta/2, plus pi where cos(k*theta/2) < 0
+    (the member's signed sqrt(t) is then negative).  That holds for every k
+    in [1, n-2] and every theta, so the reference is one synthesize call and
+    the distance residual compares vertex i with vertex i: O(n).
     """
     layer = grid_layer(d, k)
     t_vals, alphas = focal_parameters(d.p, layer.vertices)
     t_mean = sum(t_vals) / len(t_vals)
     residuals = [abs(t - t_mean) for t in t_vals]
     residuals += _step_residuals(alphas, d.theta, closed=True)
-    k_eff = min(k, d.n - k)
-    shift = 0 if k_eff == k else k
-    try:
-        g_k = from_angle("G", k_eff * d.theta)
-    except AngleOutOfRange:  # name the k and theta the caller gave
-        acted = "k*theta" if k_eff == k else "(n - k)*theta"
-        raise AngleOutOfRange(f"grid k = {k} at theta = {d.theta}: the acted angle "
-                              f"{acted} = {k_eff * d.theta} must lie in [0, pi)") from None
-    g = image(g_k, tangency_points(d)).vertices
-    residuals.append(max(distance(z, g[(i + shift) % d.n]) for i, z in enumerate(layer.vertices)))
+    half_k = k * d.theta / 2.0
+    phi = d.phi + d.theta / 2.0 + half_k + (math.pi if math.cos(half_k) < 0.0 else 0.0)
+    ref = synthesize(d.p, layer.t, d.theta, phi, d.n)
+    residuals.append(max(map(distance, layer.vertices, ref.vertices)))
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 

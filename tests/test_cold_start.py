@@ -30,11 +30,11 @@ CALLS = {
     "pedal": (["pedal", "--p", "0.75", "--theta", "pi/6", "--n", "12"], False, BASE),
     "grid": (["grid", "--k", "2"], True, BASE),
     "transform": (["transform", "--op", "G", "--angle", "pi/6"], True, BASE | {"group"}),
-    "verify": (["verify", "--check", "all"], True, BASE | {"group", "verify"}),
+    "verify": (["verify", "--check", "all"], True, BASE | {"verify"}),
     "render": (["render", "--out", "figure.svg"], True, BASE | {"render"}),
     "help": (["--help"], False, BASE),
     "generate_help": (["generate", "--help"], False, BASE),
-    "verify_help": (["verify", "--help"], False, BASE | {"group", "verify"}),
+    "verify_help": (["verify", "--help"], False, BASE | {"verify"}),
 }
 
 # How a call is launched.

@@ -1,8 +1,8 @@
 """Fast paths of the verification inner loops against the code they replaced.
 
 The reference implementations below are the earlier library versions, kept
-here only as oracles: the exhaustive-shift grid correspondence, the numpy
-det*inv adjugate and the numpy matrix-vector projective map.
+here only as oracles: the numpy det*inv adjugate and the numpy matrix-vector
+projective map.  The earlier grid correspondence is in test_grid_oracle.py.
 """
 
 import math
@@ -12,24 +12,15 @@ import pytest
 
 from discreteconics import group, polygon, verify
 from discreteconics.errors import GeometryError
-from discreteconics.group import act_on_discrete, from_angle
 from discreteconics.kernel import Line, Point, apply_map, distance, projective_from_correspondences
 from discreteconics.pencil import (
     normalized_adjugate,
-    parameter_of,
     pencil_member,
     quadratic_form,
     tangency_residual,
 )
-from discreteconics.polygon import grid_layer, synthesize, tangency_points
-from discreteconics.verify import (
-    _inner_member,
-    _parameter_step_residuals,
-    check_grid,
-    check_poncelet,
-    check_projective_regular,
-    make_report,
-)
+from discreteconics.polygon import synthesize
+from discreteconics.verify import _inner_member, check_grid, check_poncelet, check_projective_regular
 
 EPS = 2.0**-52
 
@@ -60,26 +51,6 @@ def _polygon(p, t, n, w):
     return synthesize(p, t, 2.0 * math.pi * w / n, 0.3, n)
 
 
-def reference_check_grid(d, k, tol=verify.DEFAULT_TOL):
-    """check_grid with the vertex correspondence found by trying all n shifts."""
-    layer = grid_layer(d, k)
-    t_vals = [parameter_of(d.p, z) for z in layer.vertices]
-    t_mean = sum(t_vals) / len(t_vals)
-    residuals = [abs(t - t_mean) for t in t_vals]
-    residuals += _parameter_step_residuals(d.p, layer.vertices, d.theta, closed=True)
-    k_eff = min(k, d.n - k)
-    image = act_on_discrete(from_angle("G", k_eff * d.theta), tangency_points(d))
-    best = min(
-        max(
-            distance(layer.vertices[idx], image.vertices[(idx + shift) % d.n])
-            for idx in range(d.n)
-        )
-        for shift in range(d.n)
-    )
-    residuals.append(best)
-    return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
-
-
 def reference_adjugate(c):
     q = quadratic_form(c)
     m = np.array(
@@ -105,6 +76,12 @@ def reference_apply_map(m, p):
     return Point(h[0] / h[2], h[1] / h[2])
 
 
+def reference_map_xy(m, x, y):
+    """reference_apply_map as map_xy's coordinate pair."""
+    q = reference_apply_map(m, Point(x, y))
+    return q.x, q.y
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -112,21 +89,8 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("p, t, n, w", CASES)
-def test_grid_matches_exhaustive_shift_search(p, t, n, w):
-    d = _polygon(p, t, n, w)
-    for k in range(1, n - 1):
-        new = _outcome(check_grid, d, k)
-        ref = _outcome(reference_check_grid, d, k)
-        if isinstance(ref, type):
-            assert new is ref, f"k={k}"
-            continue
-        assert new.residuals == ref.residuals, f"k={k}"
-        assert new.passed == ref.passed, f"k={k}"
-
-
 def test_grid_cases_cover_k_above_half_n():
-    """The shift rule's second branch must be exercised by passing reports."""
+    """k above n/2 must be exercised by passing reports."""
     covered = 0
     for _, p, t in MEMBERS:
         for n, w in POLYGONS:
@@ -179,7 +143,7 @@ def test_apply_map_matches_numpy(p, t, n, w, monkeypatch):
         assert abs(got.x - want.x) <= 4 * EPS * (s[0] + abs(want.x) * s[2]) / abs(h_w)
         assert abs(got.y - want.y) <= 4 * EPS * (s[1] + abs(want.y) * s[2]) / abs(h_w)
     fast = check_projective_regular(d)
-    monkeypatch.setattr(verify, "apply_map", reference_apply_map)
+    monkeypatch.setattr(verify, "map_xy", reference_map_xy)
     assert check_projective_regular(d).passed == fast.passed
 
 

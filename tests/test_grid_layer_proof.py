@@ -1,26 +1,30 @@
 """The tangent-intersection closed form behind grid_layer and check_grid.
 
 Tangents to the member t at focal angles alpha and alpha + psi meet on the
-member t * sec^2(psi/2), at focal angle alpha + psi/2.  With psi = k*theta
-on the inscribed member, that is grid_layer's member t*cos^2(theta/2) *
-sec^2(k*theta/2) and the G_{k*theta} image that check_grid compares with.
+member whose signed root is sqrt(t) / cos(psi/2), at focal angle
+alpha + psi/2.  With psi = k*theta on the inscribed member, that is
+grid_layer's member t*cos^2(theta/2) * sec^2(k*theta/2) and the closed form
+check_grid compares with.
 
-sympy proves it: the point z at focal angle alpha + psi/2 on the member
-t * sec^2(psi/2) satisfies the tangent-line equation at both points, and
-lies on its member.  Angles are written through a = e^{i alpha} and
-h = e^{i psi/2}, so every expression is rational and the identities reduce
-to polynomial zeros.  A numeric probe ties the proof to the library code,
-and the check_grid error names the acted angle.
+sympy proves it: the point z at focal angle alpha + psi/2 on that member
+satisfies the tangent-line equation at both points, and lies on its member.
+Angles are written through a = e^{i alpha} and h = e^{i psi/2}, so every
+expression is rational and the identities reduce to polynomial zeros; h is
+any unit number, so psi may lie in (pi, 2*pi), where cos(psi/2) < 0.  There
+the signed root is negative, and the sign rule turns it into the positive
+root at the focal angle half a turn on, which is what check_grid evaluates.
+A numeric probe ties the proof to the library code, and check_grid passes on
+an obtuse star, where k*theta passes pi for every k >= 2.
 """
 
 import io
+import json
 import math
 
 import pytest
 import sympy as sp
 
 from discreteconics.cli import main
-from discreteconics.errors import AngleOutOfRange
 from discreteconics.kernel import distance, intersect_lines
 from discreteconics.pencil import pencil_member, point_at, tangent_at
 from discreteconics.polygon import grid_layer, synthesize
@@ -81,27 +85,32 @@ def test_grid_layer_is_the_closed_form(k):
         assert distance(z, want) <= 1e-12 * max(1.0, math.hypot(want.x, want.y))
 
 
+def test_negative_signed_root_is_the_point_half_a_turn_on():
+    """The point at focal angle beta with signed sqrt(t) = -s is the point at
+    beta + pi with sqrt(t) = s: e^{i(beta + pi)} = -e^{i beta}."""
+    p = sp.symbols("p", real=True)
+    s = sp.symbols("s", positive=True)
+    u = sp.symbols("u", nonzero=True)  # e^{i beta}
+    for signed, turned in zip(_point(p, -s, u), _point(p, s, -u)):
+        assert _is_zero(signed - turned)
+
+
 # ---------------------------------------------------------------------------
-# check_grid names the acted angle when it leaves G's chart
+# check_grid on an obtuse star, where k*theta passes pi for every k >= 2
 
-def test_check_grid_names_k_theta_and_the_acted_angle():
-    theta = 5.0 * math.pi / 6.0
-    d = synthesize(0.5, 1.0, theta, 0.0, 12)
-    with pytest.raises(AngleOutOfRange) as exc:
-        check_grid(d, 2)
-    assert str(exc.value) == (f"grid k = 2 at theta = {theta!r}: the acted angle "
-                              f"k*theta = {2 * theta!r} must lie in [0, pi)")
-    with pytest.raises(AngleOutOfRange, match=r"^grid k = 9 at theta = .*: the acted angle "
-                                              r"\(n - k\)\*theta = "):
-        check_grid(d, 9)
+@pytest.mark.parametrize("k", [2, 9])
+def test_check_grid_passes_on_the_obtuse_star(k):
+    report = check_grid(synthesize(0.5, 1.0, 5.0 * math.pi / 6.0, 0.0, 12), k)
+    assert report.passed and report.metadata["k"] == k
 
 
-def test_verify_exits_2_naming_the_acted_angle(capsys, monkeypatch):
+def test_verify_exits_0_with_eight_passing_reports(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert main(["generate", "--p", "0.5", "--t", "1", "--theta", "5pi/6", "--n", "12"]) == 0
     polygon = capsys.readouterr().out
     monkeypatch.setattr("sys.stdin", io.StringIO(polygon))
-    assert main(["verify"]) == 2
+    assert main(["verify"]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: grid k = 2 at theta = ")
-    assert "k*theta = " in err and "Traceback" not in err
+    reports = json.loads(out)
+    assert err == "" and len(reports) == 8
+    assert all(r["pass"] and "skipped" not in r["metadata"] for r in reports)

@@ -337,7 +337,7 @@ def _generate(*args):
 
 PIPELINES = {
     "verify_ellipse": (_generate("0.75", "0.5", "pi/6", "12"), ["verify", "--check", "all"], 0),
-    "verify_star_obtuse": (_generate("0.75", "0.5", "5pi/6", "12"), ["verify", "--check", "all"], 2),
+    "verify_star_obtuse": (_generate("0.75", "0.5", "5pi/6", "12"), ["verify", "--check", "all"], 0),
     "verify_hyperbola": (_generate("0.5", "20", "2pi/8", "8"), ["verify", "--check", "all"], 0),
     "verify_tiny_tol": (_generate("0.75", "0.5", "pi/6", "12"), ["verify", "--tol", "1e-300"], 1),
     "transform": (_generate("0.5", "1", "2pi/8", "8"), ["transform", "--op", "G", "--angle", "2pi/8"], 0),
