@@ -5,6 +5,11 @@
 # degenerate input).  Run it after `pip install .`, from any directory.
 set -u
 
+command -v discreteconics >/dev/null || {
+    echo "discreteconics is not on PATH: run \`pip install .\` first" >&2
+    exit 2
+}
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work" || exit 2

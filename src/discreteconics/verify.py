@@ -29,7 +29,6 @@ from .kernel import (
 )
 from .pencil import (
     classify,
-    focal_parameter,
     focal_parameters,
     pedal_circle,
     pencil_member,
@@ -92,10 +91,7 @@ _inner_member = DiscreteConic.inner.fget
 
 def _parameter_step_residuals(p: float, points, theta: float, closed: bool) -> list[float]:
     """|focal-parameter step - theta| for consecutive points, wrap-aware."""
-    return _step_residuals(focal_parameters(p, points)[1], theta, closed)
-
-
-def _step_residuals(alphas: list[float], theta: float, closed: bool) -> list[float]:
+    alphas = focal_parameters(p, points)[1]
     last = len(alphas) if closed else len(alphas) - 1
     return [
         abs(wrapped_diff(alphas[(i + 1) % len(alphas)] - alphas[i], theta))
@@ -201,13 +197,11 @@ def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Repor
     f = d.focus
     f2 = d.inner.second_focus
     m = tangency_points(d)
-    az = focal_parameter(d.p, z)
-    pairs = ((m.vertex(i), m.vertex(j)), (d.vertex(i), d.vertex(j + 1)),
-             (d.vertex(i + 1), d.vertex(j)))
-    residuals = [
-        abs(wrapped_diff(az - focal_parameter(d.p, a), focal_parameter(d.p, b) - az))
-        for a, b in pairs
-    ]
+    # z's focal parameter is midway in each pair: tangency points i and j,
+    # vertices i and j + 1, vertices i + 1 and j.
+    az, *alphas = focal_parameters(d.p, (z, m.vertex(i), m.vertex(j), d.vertex(i),
+                                         d.vertex(j + 1), d.vertex(i + 1), d.vertex(j)))[1]
+    residuals = [abs(wrapped_diff(az - a, b - az)) for a, b in zip(alphas[::2], alphas[1::2])]
     ang1 = _line_angle(f.x - z.x, f.y - z.y, m.vertex(i).x - z.x, m.vertex(i).y - z.y)
     ang2 = _line_angle(f2.x - z.x, f2.y - z.y, m.vertex(j).x - z.x, m.vertex(j).y - z.y)
     residuals.append(abs(ang1 - ang2))
@@ -221,18 +215,16 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     Z_i = S_i n S_{i+k} lies on grid_layer's member at focal angle
     phi + theta/2 + (i-1)*theta + k*theta/2, plus pi where cos(k*theta/2) < 0
     (the member's signed sqrt(t) is then negative).  That holds for every k
-    in [1, n-2] and every theta, so the reference is one synthesize call and
-    the distance residual compares vertex i with vertex i: O(n).
+    in [1, n-2] and every theta, so the reference R is one synthesize call.
+    Residual i is |Z_i - R_i| / max(1, |Z_i|), relative because the float
+    error of both points grows with |Z_i|.  O(n).
     """
     layer = grid_layer(d, k)
-    t_vals, alphas = focal_parameters(d.p, layer.vertices)
-    t_mean = sum(t_vals) / len(t_vals)
-    residuals = [abs(t - t_mean) for t in t_vals]
-    residuals += _step_residuals(alphas, d.theta, closed=True)
     half_k = k * d.theta / 2.0
     phi = d.phi + d.theta / 2.0 + half_k + (math.pi if math.cos(half_k) < 0.0 else 0.0)
     ref = synthesize(d.p, layer.t, d.theta, phi, d.n)
-    residuals.append(max(map(distance, layer.vertices, ref.vertices)))
+    residuals = [distance(z, r) / max(1.0, math.hypot(z.x, z.y))
+                 for z, r in zip(layer.vertices, ref.vertices)]
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 

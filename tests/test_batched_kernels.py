@@ -1,8 +1,8 @@
 """The batched pencil and line kernels against their scalar paths, bit for bit.
 
 focal_radii (behind synthesize and sample_conic) forms a member's constants
-once; focal_parameters (behind the focal-angle steps and check_grid's
-t-spread) checks p once and computes each t once; coefficients_through
+once; focal_parameters (behind the focal-angle steps and check_isogonal's
+seven angles) checks p once and computes each t once; coefficients_through
 (behind check_diagonals) gives line_through's coefficients without the Line.
 Every output must equal the scalar path's to the last bit, and every error
 must have the scalar path's type at the scalar path's first index.  The

@@ -11,6 +11,8 @@ Cases: every pencil member of test_fast_paths times its convex polygons and
 acute stars, plus four obtuse stars, at every k in [1, n-2].  Each asserts:
 
 * check_grid raises only where grid_layer raises, and then the same error;
+* its residuals are the distances from each layer vertex to the float
+  reference's, each relative to max(1, |layer vertex|);
 * the float reference is within FORWARD_BOUND of the 50-digit point, in
   units of a forward-error scale (see _scale); the worst case measured is
   2.47, at p = -0.9999, n = 11, winding 2, k = 2;
@@ -109,7 +111,10 @@ def test_check_grid_follows_the_rule_at_50_digits(p, t, n, w):
             continue
         assert not isinstance(report, type), f"k={k}: {report.__name__}"
         ref = float_reference(d, k)
-        assert report.residuals[-1] == max(map(distance, layer.vertices, ref.vertices))
+        assert report.residuals == tuple(
+            distance(z, r) / max(1.0, math.hypot(z.x, z.y))
+            for z, r in zip(layer.vertices, ref.vertices)
+        )
         with mpmath.workdps(50):
             for v, (x, y, a, r, gain) in zip(ref.vertices, rule_points(d, k)):
                 err = float(mpmath.hypot(v.x - x, v.y - y))

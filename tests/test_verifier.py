@@ -102,6 +102,28 @@ def test_grid():
     assert not check_grid(_perturb(SAMPLE), 2).passed
 
 
+# synthesize(p, t, theta, phi, n) of valid polygons whose grid layer reaches
+# |z| of 1.5e3 to 8.4e4, where the float error of a layer vertex passes an
+# absolute 1e-8 (up to 3.5e-6) but stays below 1.6e-10 relative:
+# large_n seed 3 ops 15, 16, 17 and 39, and sweep seed 3 op 873.
+FAR_LAYERS = [
+    (0.5921504071002615, 9.879022744158695, 0.02617993877991494, 1.155516273101446, 240),
+    (0.7955209549822155, 4.092177865566334, 0.01308996938995747, 2.7390794429818563, 480),
+    (0.7889867428920024, 5.125599413563672, 0.01308996938995747, 2.5150534360446275, 480),
+    (0.4640664484949766, 12.472210047272656, 0.006544984694978735, 4.43891968134118, 960),
+    (0.21463620647122073, 4.811245331264329, 1.663196110724008, 2.476872268092276, 34),
+]
+
+
+@pytest.mark.parametrize("args", FAR_LAYERS, ids=["large_n-op15", "large_n-op16", "large_n-op17",
+                                                   "large_n-op39", "sweep-op873"])
+def test_grid_is_relative_on_far_layers(args):
+    d = synthesize(*args)
+    r = check_grid(d, 2)
+    assert r.passed and len(r.residuals) == d.n
+    assert not check_grid(_perturb(d), 2).passed
+
+
 def test_pascal_line():
     r = check_pascal_line(SAMPLE)
     assert r.passed
