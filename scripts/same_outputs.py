@@ -19,6 +19,8 @@ every output is hashed by kind:
                     require_focus_inside on and off
     cli             the fixed cli.main pipelines of CLI_PIPELINES: each call's
                     stdout, stderr and exit code, and the files it writes
+    tangency        tangency_points, as polygon JSON, and on even n the
+                    opposite-side intersections with their fitted line
 
 An op that raises records the exception type, not its message; a CLI call's
 stderr is hashed as it is.  Prints one sha256 per kind for each tree and
@@ -43,7 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("reports", "polygon_json", "grid_layers", "images", "negative_pedal", "svg",
-         "dual_conic", "cli")
+         "dual_conic", "cli", "tangency")
 # (workload, seed, number of ops from op 0)
 SCHEDULES = (("large_n", 3, 90), ("sweep", 3, 3000))
 
@@ -116,7 +118,8 @@ def digests(src: Path) -> dict[str, str]:
     from discreteconics.cli import main
     from discreteconics.duality import Reciprocator, dual_conic
     from discreteconics.group import act_on_discrete, from_angle
-    from discreteconics.polygon import closed_form_vertices, grid_layer, negative_pedal, synthesize
+    from discreteconics.polygon import (closed_form_vertices, grid_layer, negative_pedal,
+                                        opposite_side_intersections, synthesize, tangency_points)
     from discreteconics.render import Scene, render_svg
     from discreteconics.serialize import polygon_to_dict
     from discreteconics.pencil import pencil_member
@@ -159,6 +162,10 @@ def digests(src: Path) -> dict[str, str]:
             if d is None:
                 continue
             record("reports", key, run_checks, d)
+            record("tangency", key, tangency_points, d)
+            if d.n % 2 == 0:
+                record("tangency", f"{key}:opposite",
+                       lambda: repr(opposite_side_intersections(d)))
             layer = record("grid_layers", key, grid_layer, d, 2)
             polygons = (d,) if layer is None else (d, layer)
             record("svg", key, lambda: render_svg(Scene(conics=(d.carrier,), polygons=polygons)))

@@ -159,13 +159,17 @@ def reflect_point(p: Point, line: Line) -> Point:
     return Point(p.x - 2.0 * d * line.a, p.y - 2.0 * d * line.b)
 
 
+def ray_angle(f: Point, a: Point) -> float:
+    """Angle of the ray f->a, in [-pi, pi]."""
+    if distance(f, a) < DEGENERACY_EPS:
+        raise DegenerateRay("ray endpoint coincides with the vertex")
+    return math.atan2(a.y - f.y, a.x - f.x)
+
+
 def directed_angle(f: Point, a: Point, b: Point) -> float:
     """Counterclockwise angle from ray f->a to ray f->b, in [0, 2*pi)."""
-    if distance(f, a) < DEGENERACY_EPS or distance(f, b) < DEGENERACY_EPS:
-        raise DegenerateRay("ray endpoint coincides with the vertex")
-    ang_a = math.atan2(a.y - f.y, a.x - f.x)
-    ang_b = math.atan2(b.y - f.y, b.x - f.x)
-    return normalize_angle(ang_b - ang_a)
+    ang_a = ray_angle(f, a)
+    return normalize_angle(ray_angle(f, b) - ang_a)
 
 
 def _triangle_area_residual(a: Point, b: Point, c: Point) -> float:

@@ -42,7 +42,9 @@ class DiscreteConic:
     The side lines (sides), the tangency polygon (tangency) and the grid
     layers (layers) are built on first use and cached per instance, outside
     the fields: equality, repr and JSON never see them, and
-    dataclasses.replace gives a fresh cache."""
+    dataclasses.replace gives a fresh cache.  The checks read single
+    tangency points through tangency_point, so on an even n run_checks
+    leaves the tangency cache empty."""
 
     p: float
     t: float
@@ -86,9 +88,9 @@ class DiscreteConic:
     @cached_property
     def sides(self) -> tuple[Line, ...]:
         """Side lines S_1..S_num_sides, built once per instance."""
-        return tuple(
-            line_through(self.vertex(i), self.vertex(i + 1)) for i in range(1, self.num_sides + 1)
-        )
+        v = self.vertices
+        following = v[1:] + v[:1] if self.closed else v[1:]
+        return tuple(line_through(a, b) for a, b in zip(v, following))
 
     def side(self, i: int) -> Line:
         """Side line S_i through V_i and V_{i+1} (1-based, wrapping for closed
@@ -106,11 +108,19 @@ class DiscreteConic:
         if self.n < 2:
             raise ValueError("need at least two vertices")
         inner = self.inner
-        half = self.theta / 2.0
-        verts = tuple(
-            point_at(inner, self.phi + j * self.theta + half) for j in range(self.num_sides)
-        )
-        return DiscreteConic(self.p, inner.t, self.theta, self.phi + half, verts)
+        verts = tuple(point_at(inner, self._contact_angle(i)) for i in range(self.num_sides))
+        return DiscreteConic(self.p, inner.t, self.theta, self.phi + self.theta / 2.0, verts)
+
+    def tangency_point(self, j: int) -> Point:
+        """M_j, where side j touches the inner member: tangency.vertex(j),
+        without building the tangency polygon.  1-based, wrapping like side."""
+        if not self.closed and not 1 <= j <= self.num_sides:
+            raise IndexError(f"tangency index {j} out of range for an open chain")
+        return point_at(self.inner, self._contact_angle((j - 1) % self.n))
+
+    def _contact_angle(self, i: int) -> float:
+        """The focal angle of M_{i+1}: phi + i*theta + theta/2."""
+        return self.phi + i * self.theta + self.theta / 2.0
 
     @cached_property
     def layers(self) -> dict[int, DiscreteConic]:
@@ -142,12 +152,18 @@ def _check_theta_n(p: float, theta: float, n: int, phi: float) -> None:
 
 def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
+    verts = tuple(Point(x, y) for x, y in _synthesized_xy(p, t, theta, phi, n))
+    return DiscreteConic(float(p), float(t), theta, phi, verts)
+
+
+def _synthesized_xy(p: float, t: float, theta: float, phi: float, n: int):
+    """synthesize's checks, then its vertices as (x, y) pairs, lazily and in
+    angle order, so a caller meets the errors synthesize raises."""
     _check_theta_n(p, theta, n, phi)
     c = pencil_member(p, t)
     alphas = [phi + j * theta for j in range(n)]
-    verts = tuple(Point(-c.p + r * math.cos(a), r * math.sin(a))
-                  for a, r in zip(alphas, focal_radii(c, alphas)))
-    return DiscreteConic(c.p, c.t, theta, phi, verts)
+    for a, r in zip(alphas, focal_radii(c, alphas)):
+        yield -c.p + r * math.cos(a), r * math.sin(a)
 
 
 def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> DiscreteConic:
@@ -216,7 +232,9 @@ def tangency_points(d: DiscreteConic) -> DiscreteConic:
     M_j sits on the t*cos^2(theta/2) member at focal angle
     phi + (j-1)*theta + theta/2, midway between the incident vertices.  The
     polygon is cached on d (d.tangency): every call on one instance returns
-    the same object, and dataclasses.replace gives a fresh cache.
+    the same object, and dataclasses.replace gives a fresh cache.  A check
+    that reads a few M_j calls d.tangency_point(j) instead, so only the
+    odd-n diagonals check fills this cache.
     """
     return d.tangency
 

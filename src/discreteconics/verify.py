@@ -23,7 +23,9 @@ from .kernel import (
     intersect_lines,
     line_through,
     map_xy,
+    normalize_angle,
     projective_from_correspondences,
+    ray_angle,
     reflect_point,
     wrapped_diff,
 )
@@ -39,8 +41,8 @@ from .pencil import (
 from .polygon import (
     DiscreteConic,
     _indexed_opposite_intersections,
+    _synthesized_xy,
     grid_layer,
-    synthesize,
     tangency_points,
 )
 
@@ -70,7 +72,7 @@ class Report:
 
 
 def make_report(check: str, residuals, tolerance: float, **metadata) -> Report:
-    return Report(check, tuple(float(r) for r in residuals), tolerance, metadata)
+    return Report(check, tuple(map(float, residuals)), tolerance, metadata)
 
 
 def _line_angle(ux: float, uy: float, vx: float, vy: float) -> float:
@@ -147,12 +149,13 @@ def check_diagonals(d: DiscreteConic, tol: float = 1e-9) -> Report:
     if not d.closed:
         raise NotClosed("diagonals are checked on closed polygons")
     f = d.focus
+    verts, h = d.vertices, d.n // 2
     if d.n % 2 == 0:
-        chords = [(d.vertex(j), d.vertex(j + d.n // 2)) for j in range(1, d.n // 2 + 1)]
+        chords = zip(verts[:h], verts[h:])
         pairing = "vertex-vertex"
-    else:
-        m = tangency_points(d)
-        chords = [(d.vertex(j), m.vertex(j + (d.n - 1) // 2)) for j in range(1, d.n + 1)]
+    else:  # V_j with M_{j + h}, h = (n - 1)/2
+        m = tangency_points(d).vertices
+        chords = zip(verts, m[h:] + m[:h])
         pairing = "vertex-tangency"
     residuals = []
     for u, v in chords:  # line_through(u, v).distance_to(f), without the Line
@@ -169,21 +172,22 @@ def check_reflective(d: DiscreteConic, j: int = 1, tol: float = 1e-9) -> Report:
         raise NotClosed("the reflective property needs a closed polygon")
     f = d.focus
     f2 = d.inner.second_focus
-    m = tangency_points(d)
+    m_j = d.tangency_point(j)
     s_j = d.side(j)
     residuals = []
     # The hit point on side j is its tangency point: the reflected source,
     # the tangency point and the focus are collinear.
-    residuals.append(_triangle_area_residual(reflect_point(f2, s_j), m.vertex(j), f))
+    residuals.append(_triangle_area_residual(reflect_point(f2, s_j), m_j, f))
     if d.n % 2 == 0:
         j2 = j + d.n // 2
-        residuals.append(_triangle_area_residual(m.vertex(j), f, m.vertex(j2)))
-        residuals.append(_triangle_area_residual(reflect_point(f, d.side(j2)), m.vertex(j2), f2))
+        m_j2 = d.tangency_point(j2)
+        residuals.append(_triangle_area_residual(m_j, f, m_j2))
+        residuals.append(_triangle_area_residual(reflect_point(f, d.side(j2)), m_j2, f2))
         metadata = {"parity": "even", "opposite_side": j2}
     else:
         # Continued ray through the focus meets the vertex (n+1)/2 steps on.
         jv = j + (d.n + 1) // 2
-        residuals.append(_triangle_area_residual(m.vertex(j), f, d.vertex(jv)))
+        residuals.append(_triangle_area_residual(m_j, f, d.vertex(jv)))
         metadata = {"parity": "odd", "hit_vertex": jv}
     return make_report("reflective", residuals, tol, side=j, **metadata)
 
@@ -196,14 +200,14 @@ def check_isogonal(d: DiscreteConic, i: int, j: int, tol: float = 1e-9) -> Repor
     z = intersect_lines(d.side(i), d.side(j))
     f = d.focus
     f2 = d.inner.second_focus
-    m = tangency_points(d)
+    m_i, m_j = d.tangency_point(i), d.tangency_point(j)
     # z's focal parameter is midway in each pair: tangency points i and j,
     # vertices i and j + 1, vertices i + 1 and j.
-    az, *alphas = focal_parameters(d.p, (z, m.vertex(i), m.vertex(j), d.vertex(i),
+    az, *alphas = focal_parameters(d.p, (z, m_i, m_j, d.vertex(i),
                                          d.vertex(j + 1), d.vertex(i + 1), d.vertex(j)))[1]
     residuals = [abs(wrapped_diff(az - a, b - az)) for a, b in zip(alphas[::2], alphas[1::2])]
-    ang1 = _line_angle(f.x - z.x, f.y - z.y, m.vertex(i).x - z.x, m.vertex(i).y - z.y)
-    ang2 = _line_angle(f2.x - z.x, f2.y - z.y, m.vertex(j).x - z.x, m.vertex(j).y - z.y)
+    ang1 = _line_angle(f.x - z.x, f.y - z.y, m_i.x - z.x, m_i.y - z.y)
+    ang2 = _line_angle(f2.x - z.x, f2.y - z.y, m_j.x - z.x, m_j.y - z.y)
     residuals.append(abs(ang1 - ang2))
     return make_report("isogonal", residuals, tol, i=i, j=j, z=[z.x, z.y])
 
@@ -215,16 +219,17 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     Z_i = S_i n S_{i+k} lies on grid_layer's member at focal angle
     phi + theta/2 + (i-1)*theta + k*theta/2, plus pi where cos(k*theta/2) < 0
     (the member's signed sqrt(t) is then negative).  That holds for every k
-    in [1, n-2] and every theta, so the reference R is one synthesize call.
-    Residual i is |Z_i - R_i| / max(1, |Z_i|), relative because the float
-    error of both points grows with |Z_i|.  O(n).
+    in [1, n-2] and every theta, so the reference R is synthesize's.  It is
+    read as coordinates, without building a polygon, and raises what that
+    synthesize call raises.  Residual i is |Z_i - R_i| / max(1, |Z_i|),
+    relative because the float error of both points grows with |Z_i|.  O(n).
     """
     layer = grid_layer(d, k)
     half_k = k * d.theta / 2.0
     phi = d.phi + d.theta / 2.0 + half_k + (math.pi if math.cos(half_k) < 0.0 else 0.0)
-    ref = synthesize(d.p, layer.t, d.theta, phi, d.n)
-    residuals = [distance(z, r) / max(1.0, math.hypot(z.x, z.y))
-                 for z, r in zip(layer.vertices, ref.vertices)]
+    ref = _synthesized_xy(d.p, layer.t, d.theta, phi, d.n)
+    residuals = [math.hypot(z.x - x, z.y - y) / max(1.0, math.hypot(z.x, z.y))
+                 for z, (x, y) in zip(layer.vertices, ref)]
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 
@@ -238,10 +243,11 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     residuals = [line.distance_to(pt) for _, pt in indexed]
     residuals.append(abs(line.b))  # vertical line has direction (0, 1)
     f = d.focus
-    for (i1, k1), (i2, k2) in zip(indexed, indexed[1:]):
+    rays = [(i, ray_angle(f, pt)) for i, pt in indexed]
+    for (i1, a1), (i2, a2) in zip(rays, rays[1:]):
         # The points may straddle the focus, so compare the angle step
         # between the focal *lines* (modulo pi), not the rays.
-        delta = directed_angle(f, k1, k2)
+        delta = normalize_angle(a2 - a1)
         expected = (i2 - i1) * d.theta
         residuals.append(
             min(

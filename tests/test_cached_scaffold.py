@@ -1,7 +1,11 @@
-"""The side lines and the tangency polygon are built once per polygon.
+"""The side lines are built once per polygon, and tangency points only where
+a check reads them.
 
-DiscreteConic caches both on first use.  These tests count the builds over
-one run_checks plus grid_layer, and check that the caches never leak: not
+DiscreteConic caches its side lines and its tangency polygon on first use.
+These tests count the builds over one run_checks plus grid_layer: one side
+line per side, four tangency points on an even n (reflective and isogonal
+read two each through tangency_point) and the whole tangency polygon only
+for the odd-n diagonals.  They also check that the caches never leak: not
 into a copy made with dataclasses.replace, and not into equality, repr,
 hashing or JSON.
 """
@@ -24,7 +28,7 @@ def _closed(n, p=0.75, t=0.5):
 
 
 @pytest.mark.parametrize("n", [240, 480, 241])
-def test_one_run_builds_each_side_and_tangency_point_once(n, monkeypatch):
+def test_one_run_builds_each_side_once_and_only_the_tangency_points_it_reads(n, monkeypatch):
     d = _closed(n)
     inner = d.inner
     counts = {"line_through": 0, "inner_point_at": 0}
@@ -43,7 +47,11 @@ def test_one_run_builds_each_side_and_tangency_point_once(n, monkeypatch):
     monkeypatch.setattr(polygon, "point_at", counted_point_at)
     run_checks(d)
     grid_layer(d, 2)
-    assert counts == {"line_through": d.num_sides, "inner_point_at": n}
+    assert counts["line_through"] == d.num_sides
+    if n % 2 == 0:
+        assert counts["inner_point_at"] == 4 and "tangency" not in vars(d)
+    else:  # the diagonals pair each vertex with the opposite tangency point
+        assert n <= counts["inner_point_at"] <= n + 4 and "tangency" in vars(d)
 
 
 def test_replace_gives_fresh_caches_and_perturbations_still_fail():
@@ -67,6 +75,7 @@ def test_replace_gives_fresh_caches_and_perturbations_still_fail():
 
 def test_caches_stay_out_of_equality_repr_and_json():
     cached = _closed(12)
+    tangency_points(cached)
     run_checks(cached)
     grid_layer(cached, 2)
     assert {"sides", "tangency"} <= set(vars(cached))

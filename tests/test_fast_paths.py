@@ -12,7 +12,7 @@ import pytest
 
 from discreteconics import group, polygon, verify
 from discreteconics.errors import GeometryError
-from discreteconics.kernel import Line, Point, apply_map, distance, projective_from_correspondences
+from discreteconics.kernel import Line, Point, apply_map, projective_from_correspondences
 from discreteconics.pencil import (
     normalized_adjugate,
     pencil_member,
@@ -158,16 +158,22 @@ def _count_calls(monkeypatch, module, name, counter):
 
 
 def test_check_grid_call_count_is_linear(monkeypatch):
-    counter = {"distance": 0, "intersect_lines": 0}
-    _count_calls(monkeypatch, verify, "distance", counter)
+    """Linear in n, and with no reference polygon: check_grid reads its
+    reference as coordinates, so a synthesize call there would raise."""
+    counter = {"intersect_lines": 0}
     for module in (polygon, group):
         _count_calls(monkeypatch, module, "intersect_lines", counter)
+    polygons = {n: synthesize(0.75, 0.5, 2.0 * math.pi / n, 0.3, n) for n in (240, 480)}
+
+    def no_reference_polygon(*args):
+        raise AssertionError("check_grid built a reference polygon")
+
+    monkeypatch.setattr(polygon, "synthesize", no_reference_polygon)
+    monkeypatch.setattr(verify, "synthesize", no_reference_polygon, raising=False)
     counts = {}
-    for n in (240, 480):
-        for key in counter:
-            counter[key] = 0
-        check_grid(synthesize(0.75, 0.5, 2.0 * math.pi / n, 0.3, n), 2)
-        counts[n] = dict(counter)
-    for key in counter:
-        assert counts[240][key] >= 240
-        assert counts[480][key] <= 2 * counts[240][key] + 8, (key, counts)
+    for n, d in polygons.items():
+        counter["intersect_lines"] = 0
+        assert check_grid(d, 2).passed
+        counts[n] = counter["intersect_lines"]
+    assert counts[240] >= 240
+    assert counts[480] <= 2 * counts[240] + 8, counts
