@@ -9,7 +9,9 @@ perfbench/inputs.py (imported read-only): large_n seed 3, ops 0-89, and
 sweep seed 3, ops 0-2999.  Each op builds what the benchmark op builds, and
 every output is hashed by kind:
 
-    reports         run_checks reports (residuals as exact float reprs)
+    reports.<check> run_checks(d, names=[check]) for each of the tree's
+                    CHECK_NAMES, as reports.projective_regular and so on
+                    (residuals as exact float reprs)
     polygon_json    the synthesized polygon's JSON
     grid_layers     grid_layer(d, 2), as polygon JSON
     images          G and H images (act_on_discrete), as polygon JSON
@@ -24,8 +26,9 @@ every output is hashed by kind:
 
 An op that raises records the exception type, not its message; a CLI call's
 stderr is hashed as it is.  Prints one sha256 per kind for each tree and
-exits 1 on any difference.  Run from a source checkout; `--src DIR` prints
-the digests of the tree at DIR alone.
+exits 1 on any difference; a kind that only one tree has differs.  Run
+from a source checkout; `--src DIR` prints the digests of the tree at DIR
+alone.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KINDS = ("reports", "polygon_json", "grid_layers", "images", "negative_pedal", "svg",
-         "dual_conic", "cli", "tangency")
+# The reports.<check> kinds come first, one per name in the tree's CHECK_NAMES.
+KINDS = ("polygon_json", "grid_layers", "images", "negative_pedal", "svg", "dual_conic",
+         "cli", "tangency")
 # (workload, seed, number of ops from op 0)
 SCHEDULES = (("large_n", 3, 90), ("sweep", 3, 3000))
 
@@ -123,9 +127,10 @@ def digests(src: Path) -> dict[str, str]:
     from discreteconics.render import Scene, render_svg
     from discreteconics.serialize import polygon_to_dict
     from discreteconics.pencil import pencil_member
-    from discreteconics.verify import run_checks
+    from discreteconics.verify import CHECK_NAMES, run_checks
 
-    hashes = {kind: hashlib.sha256() for kind in KINDS}
+    checks = {name: f"reports.{name}" for name in CHECK_NAMES}
+    hashes = {kind: hashlib.sha256() for kind in (*checks.values(), *KINDS)}
 
     def record(kind, key, fn, *args):
         """Hash fn(*args) under kind, or its exception type; return it or None."""
@@ -161,7 +166,8 @@ def digests(src: Path) -> dict[str, str]:
             d = record("polygon_json", key, synthesize, inp.p, inp.t, inp.theta, inp.phi, inp.n)
             if d is None:
                 continue
-            record("reports", key, run_checks, d)
+            for check, kind in checks.items():
+                record(kind, key, run_checks, d, [check])
             record("tangency", key, tangency_points, d)
             if d.n % 2 == 0:
                 record("tangency", f"{key}:opposite",
@@ -232,10 +238,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = run_tree(export_src(args.base, Path(tmp)))
     head = run_tree(ROOT / "src")
-    differ = [kind for kind in KINDS if base[kind] != head[kind]]
-    for kind in KINDS:
+    kinds = list(dict.fromkeys([*base, *head]))
+    differ = [kind for kind in kinds if base.get(kind) != head.get(kind)]
+    for kind in kinds:
         mark = "DIFFERS" if kind in differ else "same"
-        print(f"{kind:15s} {mark:7s} base {base[kind]}  this {head[kind]}")
+        print(f"{kind:26s} {mark:7s} base {base.get(kind, '-'):64s}  this {head.get(kind, '-')}")
     return 1 if differ else 0
 
 

@@ -15,6 +15,7 @@ from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
 from .kernel import (
     Line,
     Point,
+    ProjectiveMap,
     _triangle_area_residual,
     coefficients_through,
     directed_angle,
@@ -24,7 +25,6 @@ from .kernel import (
     line_through,
     map_xy,
     normalize_angle,
-    projective_from_correspondences,
     ray_angle,
     reflect_point,
     wrapped_diff,
@@ -47,8 +47,6 @@ from .polygon import (
 )
 
 DEFAULT_TOL = 1e-8
-# projective_regular never runs at a tighter tolerance than this.
-PROJECTIVE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,23 +114,20 @@ def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e
     return make_report("equal_angles", residuals, tol, focus=[f.x, f.y], theta=d.theta)
 
 
-def check_projective_regular(d: DiscreteConic, tol: float = PROJECTIVE_FLOOR) -> Report:
-    """Vertices map onto the regular polygon of the same winding and sense
-    under the homography fixed by the first four; tested on the other n - 4."""
+def check_projective_regular(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
+    """The polygon is the focal homology H_p of a regular polygon: H_p's
+    inverse maps vertex j to sqrt(t) * (cos a_j, sin a_j), a_j = phi +
+    (j-1)*theta.  One residual per vertex, measured at radius 1."""
     if not d.closed:
         raise NotClosed("projective regularity is checked on closed polygons")
-    if d.n < 5:
-        raise ValueError("need n >= 5 so a fifth vertex can test the map")
-    w = d.winding  # at least 1 on a closed polygon
-    step = 2.0 * math.pi * w
-    basis = [Point(math.cos(step * j / d.n), math.sin(step * j / d.n)) for j in range(4)]
-    m = projective_from_correspondences(list(d.vertices[:4]), basis)
+    m = ProjectiveMap(((1.0, 0.0, d.p), (0.0, 1.0, 0.0), (d.p, 0.0, 1.0)))
+    r = math.sqrt(d.t)
     residuals = []
-    for j, v in enumerate(d.vertices[4:], 4):
-        mx, my = map_xy(m, v.x, v.y)
-        a = step * j / d.n
-        residuals.append(math.hypot(mx - math.cos(a), my - math.sin(a)))
-    return make_report("projective_regular", residuals, tol, winding=w)
+    for j, v in enumerate(d.vertices):
+        x, y = map_xy(m, v.x, v.y)
+        a = d.phi + j * d.theta
+        residuals.append(math.hypot(x / r - math.cos(a), y / r - math.sin(a)))
+    return make_report("projective_regular", residuals, tol, winding=d.winding)
 
 
 def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
@@ -359,9 +354,7 @@ _CHECKS = {
     "equal_angles": (lambda d, tol: check_equal_angles(d, tol=tol), ()),
     "poncelet": (lambda d, tol: check_poncelet(d, tol=tol), ()),
     "diagonals": (lambda d, tol: check_diagonals(d, tol=tol), (_OPEN,)),
-    "projective_regular": (
-        lambda d, tol: check_projective_regular(d, tol=max(tol, PROJECTIVE_FLOOR)), (_N_GE_5,)
-    ),
+    "projective_regular": (lambda d, tol: check_projective_regular(d, tol=tol), (_OPEN,)),
     "reflective": (lambda d, tol: check_reflective(d, tol=tol), (_OPEN, _PARABOLA)),
     "isogonal": (
         lambda d, tol: check_isogonal(d, 1, 2 if d.n == 4 else 3, tol=tol), (_OPEN, _PARABOLA)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discreteconics import polygon, verify
+from discreteconics import polygon
 from discreteconics.duality import Reciprocator, dual_conic, pole_of
 from discreteconics.errors import DegenerateConfiguration, FocusOutsideDual
 from discreteconics.kernel import (
@@ -28,6 +28,7 @@ from discreteconics.kernel import (
     _adjugate3,
     _matmul3,
     _projective_basis,
+    map_xy,
     projective_from_correspondences,
     total_least_squares_line,
 )
@@ -39,7 +40,8 @@ from discreteconics.pencil import (
     pencil_member,
 )
 from discreteconics.polygon import opposite_side_intersections, synthesize
-from discreteconics.verify import check_pascal_line, check_projective_regular
+from discreteconics.verify import (DEFAULT_TOL, check_pascal_line, check_projective_regular,
+                                   make_report)
 from test_fast_paths import MEMBERS, POLYGONS, _outcome, _polygon
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -114,12 +116,24 @@ def _regular(n, w, count):
 # Homography against the DLT-SVD
 
 
+def first_four_fit(d, fit=projective_from_correspondences):
+    """The earlier check_projective_regular, at its 1e-6 floor: fit the
+    homography taking the first four vertices onto the regular polygon of
+    the same winding, then map the other n - 4 through it."""
+    target = _regular(d.n, d.winding, d.n)
+    m = fit(list(d.vertices[:4]), target[:4])
+    residuals = []
+    for v, q in zip(d.vertices[4:], target[4:]):
+        x, y = map_xy(m, v.x, v.y)
+        residuals.append(math.hypot(x - q.x, y - q.y))
+    return make_report("projective_regular", residuals, 1e-6, winding=d.winding)
+
+
 @pytest.mark.parametrize("p, t, n, w", PROJECTIVE_CASES)
-def test_projective_regular_matches_svd_oracle(p, t, n, w, monkeypatch):
+def test_first_four_fit_matches_svd_oracle(p, t, n, w):
     d = _polygon(p, t, n, w)
-    new = _outcome(check_projective_regular, d)
-    ref = _with(monkeypatch, verify, "projective_from_correspondences",
-                reference_projective_from_correspondences, check_projective_regular, d)
+    new = _outcome(first_four_fit, d)
+    ref = _outcome(first_four_fit, d, reference_projective_from_correspondences)
     if isinstance(ref, type):
         assert new is ref
         return
@@ -140,14 +154,15 @@ def test_homography_matches_svd_map(p, t, n, w):
 
 
 @pytest.mark.parametrize("p, t, phi", [(0.85, 0.5, 4.0), (-0.8, 0.6, 5.4)])
-def test_normalization_keeps_n960_within_the_floor(p, t, phi, monkeypatch):
+def test_normalization_keeps_the_n960_fit_accurate(p, t, phi):
     d = synthesize(p, t, 2.0 * math.pi / 960, phi, 960)
-    shipped = check_projective_regular(d)
-    unnormalized = _with(monkeypatch, verify, "projective_from_correspondences",
-                         unnormalized_projective_from_correspondences,
-                         check_projective_regular, d)
-    assert shipped.passed and shipped.max_residual < 1e-7
+    normalized = first_four_fit(d)
+    unnormalized = first_four_fit(d, unnormalized_projective_from_correspondences)
+    assert normalized.passed and normalized.max_residual < 1e-7
     assert not unnormalized.passed and unnormalized.max_residual > 1e-5
+    shipped = check_projective_regular(d)
+    assert shipped.tolerance == DEFAULT_TOL and shipped.passed
+    assert max(shipped.residuals) < 1e-11
 
 
 def test_homography_keeps_collinear_guard():

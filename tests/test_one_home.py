@@ -3,11 +3,14 @@ sampled fit it replaced, the inner member, the shared argument checks, the
 run_checks and check_lemma tables, and report validation.
 """
 
+import io
+import json
 import math
 
 import pytest
 
 from discreteconics import verify
+from discreteconics.cli import main
 from discreteconics.errors import (
     AngleOutOfRange,
     DegenerateP,
@@ -30,7 +33,7 @@ from discreteconics.polygon import (
     synthesize,
     tangency_points,
 )
-from discreteconics.serialize import deserialize, report_from_dict
+from discreteconics.serialize import deserialize, polygon_to_dict, report_from_dict
 from discreteconics.verify import CHECK_NAMES, check_lemma, run_checks
 from test_fast_paths import MEMBERS
 
@@ -173,12 +176,17 @@ def test_run_checks_table_arguments():
     assert list(hexagon) == list(CHECK_NAMES)
 
 
-def test_run_checks_projective_regular_tolerance_floor():
+def test_run_checks_every_report_carries_the_given_tolerance(capsys, monkeypatch):
     d = synthesize(0.5, 0.8, 2.0 * math.pi / 7, 0.3, 7)
-    for tol, used in ((1e-10, 1e-6), (1e-6, 1e-6), (1e-3, 1e-3)):
-        reports = _by_name(run_checks(d, tol=tol))
-        assert reports["projective_regular"].tolerance == used
-        assert reports["poncelet"].tolerance == tol
+    for tol in (1e-10, 1e-6, 1e-3):
+        reports = run_checks(d, tol=tol)
+        assert [r.check for r in reports] == list(CHECK_NAMES)
+        assert {r.tolerance for r in reports} == {tol}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(polygon_to_dict(d))))
+    main(["verify", "--tol", "1e-10"])
+    printed = json.loads(capsys.readouterr().out)
+    assert [r["check"] for r in printed] == list(CHECK_NAMES)
+    assert {r["tolerance"] for r in printed} == {1e-10}
 
 
 def _skips(d):
@@ -192,16 +200,18 @@ def test_run_checks_skip_reasons():
     n_ge_5 = "needs a closed polygon with n >= 5"
     assert _skips(open_chain) == {
         "diagonals": "open chain",
-        "projective_regular": n_ge_5,
+        "projective_regular": "open chain",
         "reflective": "open chain",
         "isogonal": "open chain",
         "grid": n_ge_5,
         "pascal_line": "needs a closed even-sided polygon",
     }
-    assert _skips(synthesize(0.5, 0.8, 2.0 * math.pi / 4, 0.3, 4)) == {
-        "projective_regular": n_ge_5,
-        "grid": n_ge_5,
-    }
+    square = synthesize(0.5, 0.8, 2.0 * math.pi / 4, 0.3, 4)
+    assert _skips(square) == {"grid": n_ge_5}
+    # Every vertex is tested against the focal homology, so n < 5 runs.
+    for d in (square, synthesize(0.5, 0.8, 2.0 * math.pi / 3, 0.3, 3)):
+        (report,) = run_checks(d, names=["projective_regular"])
+        assert report.passed and len(report.residuals) == d.n
     assert _skips(synthesize(0.5, 0.8, 2.0 * math.pi / 5, 0.3, 5)) == {
         "pascal_line": "needs a closed even-sided polygon",
     }

@@ -10,15 +10,34 @@ projective map of the unit circle onto the member, and a discrete conic is
 M applied to a regular polygon rotated by phi: the paper's projective
 regularity with the map written out.  sympy proves the three facts; a
 numeric probe ties M to synthesize at n = 960 near |p| = 1, where the
-four-point fit of check_projective_regular reads 1.26e-5.
+four-point fit that check_projective_regular used before it read its
+vertices through this frame read 1.26e-5 and failed.
+
+check_projective_regular maps each vertex through N = [[1, 0, p], [0, 1, 0],
+[p, 0, 1]], the inverse of the focal homology H_p.  sympy proves
+N * M = (1 - p^2) diag(sqrt(t), sqrt(t), 1), so N sends point_at(alpha) to
+sqrt(t) (cos alpha, sin alpha) on both branches of a hyperbola member.
 """
 
+import io
+import json
 import math
 
 import pytest
 import sympy as sp
 
+from discreteconics.cli import main
+from discreteconics.kernel import ProjectiveMap, map_xy
+from discreteconics.pencil import pencil_member, point_at
 from discreteconics.polygon import synthesize
+from discreteconics.verify import DEFAULT_TOL, check_projective_regular
+
+P_NEAR_MINUS_1 = (-0.9999, 1.2, 2.0 * math.pi / 960, 0.3, 960)
+
+
+def _inverse_homology(p):
+    """N, the matrix check_projective_regular maps vertices through."""
+    return [[1, 0, p], [0, 1, 0], [p, 0, 1]]
 
 
 def _frame(p, s):
@@ -59,7 +78,7 @@ def _frame_error(d) -> float:
 
 # (p, t, theta, phi, n), and a bound about 3x the error measured on Python 3.11.
 @pytest.mark.parametrize("args, bound", [
-    ((-0.9999, 1.2, 2.0 * math.pi / 960, 0.3, 960), 1e-12),  # measured 3.23e-13
+    (P_NEAR_MINUS_1, 1e-12),  # measured 3.23e-13
     ((0.75, 0.5, math.pi / 6, 0.0, 12), 2e-15),  # measured 6.1e-16
     ((0.3, 20.0, 2.0 * math.pi / 7, 0.0, 7), 6e-16),  # a hyperbola member; 2.0e-16
     ((0.5, 1.0, 5.0 * math.pi / 6, 0.2, 12), 4e-16),  # winding 5; 1.3e-16
@@ -68,3 +87,40 @@ def test_synthesize_is_the_frame_image_of_a_regular_polygon(args, bound):
     d = synthesize(*args)
     assert d.closed
     assert _frame_error(d) <= bound
+
+
+def test_the_check_map_undoes_the_frame():
+    p = sp.symbols("p", real=True)
+    s = sp.symbols("s", positive=True)  # sqrt(t)
+    product = sp.Matrix(_inverse_homology(p)) * sp.Matrix(_frame(p, s))
+    assert sp.expand(product - (1 - p**2) * sp.diag(s, s, 1)) == sp.zeros(3, 3)
+
+
+def test_the_check_map_sends_both_branches_to_the_circle():
+    # (p, t) = (0.3, 20): sqrt(t) p cos(alpha) > 1 near alpha = 0, the far branch.
+    p, t = 0.3, 20.0
+    c = pencil_member(p, t)
+    m = ProjectiveMap(_inverse_homology(p))
+    s = math.sqrt(t)
+    branches = set()
+    for alpha in (0.0, 0.2, 1.0, 2.0, 3.0, 4.5, 6.2):
+        v = point_at(c, alpha)
+        branches.add(1.0 + p * v.x > 0.0)
+        x, y = map_xy(m, v.x, v.y)
+        assert math.hypot(x - s * math.cos(alpha), y - s * math.sin(alpha)) <= 1e-14 * s
+    assert branches == {True, False}
+
+
+def test_the_near_parabola_polygon_at_n960_passes():
+    report = check_projective_regular(synthesize(*P_NEAR_MINUS_1))
+    assert report.tolerance == DEFAULT_TOL and report.passed
+    assert len(report.residuals) == 960 and max(report.residuals) < 1e-11
+
+
+def test_verify_passes_the_near_parabola_polygon_at_n960(monkeypatch, capsys):
+    assert main(["generate", "--p", "-0.9999", "--t", "1.2", "--theta", "2pi/960",
+                 "--phi", "0.3", "--n", "960"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", "--check", "projective_regular"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["check"] == "projective_regular" and report["pass"] is True

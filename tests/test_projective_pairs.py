@@ -1,9 +1,9 @@
 """check_projective_regular maps coordinate pairs, not throwaway Points.
 
 kernel.map_xy is the homography on an (x, y) pair and apply_map wraps it in
-a Point, so the map has one home.  The check builds only the four basis
-targets as Points; its residuals must equal, bit for bit, the distance
-between apply_map of each vertex and the Point on the regular polygon.
+a Point, so the map has one home.  The check builds no Point; its residuals
+must equal, bit for bit, the distance between apply_map of each vertex,
+scaled to radius 1, and the Point on the regular polygon.
 """
 
 import math
@@ -12,21 +12,26 @@ import pytest
 
 from discreteconics import verify
 from discreteconics.errors import PointAtInfinity
-from discreteconics.kernel import (Point, apply_map, distance, map_xy,
+from discreteconics.kernel import (Point, ProjectiveMap, apply_map, distance, map_xy,
                                    projective_from_correspondences)
 from discreteconics.polygon import DiscreteConic, synthesize
 from discreteconics.verify import check_projective_regular
 
 
+def _inverse_homology(p):
+    return ProjectiveMap(((1, 0, p), (0, 1, 0), (p, 0, 1)))
+
+
 def reference_residuals(d):
     """The Point path: every target a Point, every image through apply_map."""
-    w = max(1, d.winding)
-    target = [
-        Point(math.cos(2.0 * math.pi * w * j / d.n), math.sin(2.0 * math.pi * w * j / d.n))
-        for j in range(d.n)
-    ]
-    m = projective_from_correspondences(list(d.vertices[:4]), target[:4])
-    return [distance(apply_map(m, d.vertices[j]), target[j]) for j in range(4, d.n)]
+    m = _inverse_homology(d.p)
+    r = math.sqrt(d.t)
+    residuals = []
+    for j, v in enumerate(d.vertices):
+        image = apply_map(m, v)
+        a = d.phi + j * d.theta
+        residuals.append(distance(Point(image.x / r, image.y / r), Point(math.cos(a), math.sin(a))))
+    return residuals
 
 
 POLYGONS = {
@@ -42,26 +47,23 @@ def test_residuals_equal_the_point_path_bit_for_bit(name):
     d = POLYGONS[name]
     report = check_projective_regular(d)
     assert list(report.residuals) == reference_residuals(d)
-    assert report.metadata == {"winding": max(1, d.winding)}
+    assert report.metadata == {"winding": d.winding}
 
 
-def test_the_map_is_fitted_once_on_the_four_basis_points(monkeypatch):
+def test_every_vertex_goes_through_the_inverse_homology(monkeypatch):
     d = POLYGONS["winding_5_star"]
     calls = []
-    real = verify.projective_from_correspondences
+    real = verify.map_xy
 
-    def recorded(src, dst):
-        calls.append((src, dst))
-        return real(src, dst)
+    def recorded(m, x, y):
+        calls.append((m, x, y))
+        return real(m, x, y)
 
-    monkeypatch.setattr(verify, "projective_from_correspondences", recorded)
+    monkeypatch.setattr(verify, "map_xy", recorded)
     check_projective_regular(d)
-    assert len(calls) == 1
-    src, dst = calls[0]
-    assert src == list(d.vertices[:4]) and all(type(q) is Point for q in dst)
-    step = 2.0 * math.pi * 5
-    assert [(q.x, q.y) for q in dst] == [
-        (math.cos(step * j / 12), math.sin(step * j / 12)) for j in range(4)]
+    assert [(x, y) for _, x, y in calls] == [(v.x, v.y) for v in d.vertices]
+    assert all(m is calls[0][0] for m, _, _ in calls)
+    assert calls[0][0].m == _inverse_homology(d.p).m
 
 
 @pytest.mark.parametrize("name", POLYGONS)

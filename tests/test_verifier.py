@@ -142,7 +142,8 @@ def test_run_checks_skips():
     by_name = {r.check: r for r in run_checks(square, tol=1e-8)}
     # Opposite sides of the regular square are parallel: skipped, not failed.
     assert by_name["pascal_line"].metadata.get("skipped")
-    assert by_name["projective_regular"].metadata.get("skipped")
+    assert by_name["projective_regular"].passed
+    assert "skipped" not in by_name["projective_regular"].metadata
     assert by_name["grid"].metadata.get("skipped")
     assert by_name["equal_angles"].passed
 
