@@ -23,6 +23,8 @@ every output is hashed by kind:
                     stdout, stderr and exit code, and the files it writes
     tangency        tangency_points, as polygon JSON, and on even n the
                     opposite-side intersections with their fitted line
+    sides           DiscreteConic.sides after the checks ran, each side's
+                    (a, b, c) as exact float reprs
 
 An op that raises records the exception type, not its message; a CLI call's
 stderr is hashed as it is.  Prints one sha256 per kind for each tree and
@@ -49,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The reports.<check> kinds come first, one per name in the tree's CHECK_NAMES.
 KINDS = ("polygon_json", "grid_layers", "images", "negative_pedal", "svg", "dual_conic",
-         "cli", "tangency")
+         "cli", "tangency", "sides")
 # (workload, seed, number of ops from op 0)
 SCHEDULES = (("large_n", 3, 90), ("sweep", 3, 3000))
 
@@ -168,6 +170,7 @@ def digests(src: Path) -> dict[str, str]:
                 continue
             for check, kind in checks.items():
                 record(kind, key, run_checks, d, [check])
+            record("sides", key, lambda: repr([(s.a, s.b, s.c) for s in d.sides]))
             record("tangency", key, tangency_points, d)
             if d.n % 2 == 0:
                 record("tangency", f"{key}:opposite",

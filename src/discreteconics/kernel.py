@@ -121,11 +121,14 @@ def coefficients_through(p: Point, q: Point) -> tuple[float, float, float]:
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
+    """The meeting point of two lines, each a Line or its (a, b, c) tuple."""
+    a1, b1, c1 = l1 if type(l1) is tuple else (l1.a, l1.b, l1.c)
+    a2, b2, c2 = l2 if type(l2) is tuple else (l2.a, l2.b, l2.c)
+    det = a1 * b2 - a2 * b1
     if abs(det) < DEGENERACY_EPS:
         raise ParallelLines(f"lines {l1} and {l2} are parallel")
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l2.a * l1.c - l1.a * l2.c) / det
+    x = (b1 * c2 - b2 * c1) / det
+    y = (a2 * c1 - a1 * c2) / det
     return Point(x, y)
 
 

@@ -220,11 +220,12 @@ def tangency_residual(c: FocalConic, line: Line) -> float:
 
 
 def tangency_residuals(c: FocalConic, lines) -> list[float]:
-    """tangency_residual of each line, with adj(M) formed once for c."""
+    """tangency_residual of each line, a Line or its (a, b, c) tuple, with
+    adj(M) formed once for c."""
     (xx, _, xw), (_, yy, _), (_, _, ww) = normalized_adjugate(c)
     out = []
     for l in lines:
-        a, b, w = l.a, l.b, l.c
+        a, b, w = l if type(l) is tuple else (l.a, l.b, l.c)
         quad = (a * xx + w * xw) * a + b * yy * b + (a * xw + w * ww) * w
         out.append(abs(quad) / (1.0 + w * w))
     return out

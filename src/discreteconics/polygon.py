@@ -18,13 +18,15 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import AngleOutOfRange, FormulaPole, NotClosed, AllOppositeSidesParallel, ParallelLines, GeometryError
+from .errors import (AllOppositeSidesParallel, AngleOutOfRange, FormulaPole, GeometryError,
+                     NotClosed, OnExcludedLine, ParallelLines)
 from .kernel import (
     TWO_PI,
     Line,
     Point,
+    _check_coefficients,
+    coefficients_through,
     intersect_lines,
-    line_through,
     normalize_angle,
     total_least_squares_line,
 )
@@ -39,12 +41,14 @@ class DiscreteConic:
     angle phi + (j-1)*theta measured from the focus (-p, 0); n and closed
     are derived from the vertices and theta, never passed.
 
-    The side lines (sides), the tangency polygon (tangency) and the grid
-    layers (layers) are built on first use and cached per instance, outside
-    the fields: equality, repr and JSON never see them, and
-    dataclasses.replace gives a fresh cache.  The checks read single
-    tangency points through tangency_point, so on an even n run_checks
-    leaves the tangency cache empty."""
+    The normalized side coefficients (side_coefficients), the side lines
+    built from them (sides, side), the tangency polygon (tangency) and the
+    grid layers (layers) are built on first use and cached per instance,
+    outside the fields: equality, repr and JSON never see them, and
+    dataclasses.replace gives a fresh cache.  The checks read the side
+    coefficients, and a side Line only where they need one (reflective,
+    isogonal); they read single tangency points through tangency_point, so
+    on an even n run_checks leaves the tangency cache empty."""
 
     p: float
     t: float
@@ -86,21 +90,39 @@ class DiscreteConic:
         return self.vertices[j - 1]
 
     @cached_property
-    def sides(self) -> tuple[Line, ...]:
-        """Side lines S_1..S_num_sides, built once per instance."""
+    def side_coefficients(self) -> tuple[tuple[float, float, float], ...]:
+        """The normalized (a, b, c) of S_1..S_num_sides, each formed once per
+        instance with line_through's float operations and checks: the one
+        place side geometry is computed."""
         v = self.vertices
         following = v[1:] + v[:1] if self.closed else v[1:]
-        return tuple(line_through(a, b) for a, b in zip(v, following))
+        return tuple(map(_side_coefficients, v, following))
+
+    @cached_property
+    def sides(self) -> tuple[Line, ...]:
+        """Side lines S_1..S_num_sides, the Lines side(i) returns."""
+        return tuple(self._side_line(i) for i in range(self.num_sides))
 
     def side(self, i: int) -> Line:
         """Side line S_i through V_i and V_{i+1} (1-based, wrapping for closed
-        polygons), read from sides: cached per instance, and fresh on a copy
-        made with dataclasses.replace."""
+        polygons), built from side_coefficients on first use: cached per
+        instance, and fresh on a copy made with dataclasses.replace."""
         if self.closed:
-            return self.sides[(i - 1) % self.n]
+            return self._side_line((i - 1) % self.n)
         if not 1 <= i <= self.num_sides:
             raise IndexError(f"side index {i} out of range for an open chain")
-        return self.sides[i - 1]
+        return self._side_line(i - 1)
+
+    @cached_property
+    def _side_lines(self) -> dict[int, Line]:
+        """Side Lines built so far, by 0-based index."""
+        return {}
+
+    def _side_line(self, index: int) -> Line:
+        lines = self._side_lines
+        if index not in lines:
+            lines[index] = Line(*self.side_coefficients[index])
+        return lines[index]
 
     @cached_property
     def tangency(self) -> DiscreteConic:
@@ -130,6 +152,14 @@ class DiscreteConic:
     @property
     def num_sides(self) -> int:
         return self.n if self.closed else self.n - 1
+
+
+def _side_coefficients(u: Point, v: Point) -> tuple[float, float, float]:
+    """line_through(u, v)'s coefficients and checks, without the Line: its
+    finiteness check too, which a normalized c can fail by overflowing."""
+    abc = coefficients_through(u, v)
+    _check_coefficients(*abc)
+    return abc
 
 
 def _is_closed(n: int, theta: float) -> bool:
@@ -244,6 +274,9 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
 
     Lands on the t*cos^2(theta/2)*sec^2(k*theta/2) member, Z_i at focal angle
     d.phi + theta/2 + (i-1)*theta + k*theta/2, plus pi where cos(k*theta/2) < 0.
+    Where cos(k*theta/2) = 0 there is no such member: the layer lies on the
+    excluded line x = -1/p (OnExcludedLine), or at infinity for p = 0
+    (ParallelLines).
     The layer's phi is Z_1's focal parameter, so synthesize reproduces it.
     It is cached on d (d.layers[k]) once built: every call on one instance
     returns the same object, and a call that raises caches nothing.
@@ -254,15 +287,21 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
         raise NotClosed("grid layers are defined for closed polygons")
     if not 1 <= k <= d.n - 2:
         raise ValueError(f"k must lie in [1, n-2], got {k}")
-    s = d.sides
+    s = d.side_coefficients
+    parallel = (f"side lines {k} apart are parallel; for opposite sides use "
+                "opposite_side_intersections")
+    cos_k = math.cos(k * d.theta / 2.0)
+    # On a closed polygon |cos(k*theta/2)| is 0 up to rounding or at least
+    # sin(pi/(2n)); at 0 the sides meet on x = -1/p, at infinity for p = 0.
+    if abs(cos_k) < 0.5 * math.sin(math.pi / (2 * d.n)):
+        if d.p == 0.0:
+            raise ParallelLines(parallel)
+        raise OnExcludedLine(f"side lines {k} apart meet on the excluded line x = {-1.0 / d.p}")
     try:
         verts = tuple(intersect_lines(s[i], s[(i + k) % d.n]) for i in range(d.n))
     except ParallelLines:
-        raise ParallelLines(
-            f"side lines {k} apart are parallel; for opposite sides use "
-            "opposite_side_intersections"
-        )
-    sec_k = 1.0 / math.cos(k * d.theta / 2.0)
+        raise ParallelLines(parallel)
+    sec_k = 1.0 / cos_k
     t_layer = d.inner.t * sec_k * sec_k
     phi_layer = focal_parameter(d.p, verts[0])
     layer = d.layers[k] = DiscreteConic(d.p, t_layer, d.theta, phi_layer, verts)
@@ -288,7 +327,7 @@ def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, P
     if d.n % 2 != 0:
         raise GeometryError("opposite sides require an even-sided polygon")
     m = d.n // 2
-    s = d.sides
+    s = d.side_coefficients
     indexed = []
     for i in range(1, m + 1):  # one point per distinct opposite pair
         try:

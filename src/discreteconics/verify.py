@@ -134,7 +134,7 @@ def check_poncelet(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     """Every side line is tangent to the inscribed pencil member, so the
     polygon is inscribed in one focus-sharing conic and circumscribes another."""
     inner = d.inner
-    residuals = tangency_residuals(inner, d.sides)
+    residuals = tangency_residuals(inner, d.side_coefficients)
     return make_report("poncelet", residuals, tol, inner_t=inner.t)
 
 

@@ -1,13 +1,15 @@
-"""The side lines are built once per polygon, and tangency points only where
-a check reads them.
+"""Each side is formed once per polygon, as coefficients, and tangency
+points only where a check reads them.
 
-DiscreteConic caches its side lines and its tangency polygon on first use.
-These tests count the builds over one run_checks plus grid_layer: one side
-line per side, four tangency points on an even n (reflective and isogonal
-read two each through tangency_point) and the whole tangency polygon only
-for the odd-n diagonals.  They also check that the caches never leak: not
-into a copy made with dataclasses.replace, and not into equality, repr,
-hashing or JSON.
+DiscreteConic caches its normalized side coefficients, the side Lines built
+from them and its tangency polygon on first use.  These tests count the
+builds over one run_checks plus grid_layer: one coefficient triple per
+side, at most four Lines (a side each for reflective and isogonal to read,
+and pascal_line's fitted line), four tangency points on an even n
+(reflective and isogonal read two each through tangency_point) and the
+whole tangency polygon only for the odd-n diagonals.  They also check that
+the caches never leak: not into a copy made with dataclasses.replace, and
+not into equality, repr, hashing or JSON.
 """
 
 import json
@@ -17,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from discreteconics import polygon
-from discreteconics.kernel import Point, line_through
+from discreteconics.kernel import Line, Point, line_through
 from discreteconics.polygon import grid_layer, synthesize, tangency_points
 from discreteconics.serialize import deserialize, polygon_to_dict, serialize
 from discreteconics.verify import check_isogonal, check_poncelet, run_checks
@@ -28,26 +30,34 @@ def _closed(n, p=0.75, t=0.5):
 
 
 @pytest.mark.parametrize("n", [240, 480, 241])
-def test_one_run_builds_each_side_once_and_only_the_tangency_points_it_reads(n, monkeypatch):
+def test_one_run_forms_each_side_once_and_builds_at_most_four_lines(n, monkeypatch):
     d = _closed(n)
     inner = d.inner
-    counts = {"line_through": 0, "inner_point_at": 0}
-    real_line_through, real_point_at = polygon.line_through, polygon.point_at
+    pairs, counts = [], {"lines": 0, "inner_point_at": 0}
+    real_coefficients, real_point_at = polygon.coefficients_through, polygon.point_at
+    real_post_init = Line.__post_init__
 
-    def counted_line_through(*args):
-        counts["line_through"] += 1
-        return real_line_through(*args)
+    def counted_coefficients(u, v):
+        pairs.append((u, v))
+        return real_coefficients(u, v)
+
+    def counted_post_init(line):
+        counts["lines"] += 1
+        real_post_init(line)
 
     def counted_point_at(c, alpha):
         if (c.p, c.t) == (inner.p, inner.t):
             counts["inner_point_at"] += 1
         return real_point_at(c, alpha)
 
-    monkeypatch.setattr(polygon, "line_through", counted_line_through)
+    monkeypatch.setattr(polygon, "coefficients_through", counted_coefficients)
+    monkeypatch.setattr(Line, "__post_init__", counted_post_init)
     monkeypatch.setattr(polygon, "point_at", counted_point_at)
     run_checks(d)
     grid_layer(d, 2)
-    assert counts["line_through"] == d.num_sides
+    v = d.vertices
+    assert pairs == list(zip(v, v[1:] + v[:1]))  # each side once, in order
+    assert counts["lines"] <= 4
     if n % 2 == 0:
         assert counts["inner_point_at"] == 4 and "tangency" not in vars(d)
     else:  # the diagonals pair each vertex with the opposite tangency point
@@ -73,14 +83,16 @@ def test_replace_gives_fresh_caches_and_perturbations_still_fail():
     assert tangency_points(moved).vertices != tangency.vertices
 
 
-def test_caches_stay_out_of_equality_repr_and_json():
+def test_coefficient_cache_stays_out_of_equality_repr_and_json():
+    caches = {"side_coefficients", "_side_lines", "sides", "tangency"}
     cached = _closed(12)
     tangency_points(cached)
     run_checks(cached)
     grid_layer(cached, 2)
-    assert {"sides", "tangency"} <= set(vars(cached))
+    assert cached.sides[0] is cached.side(1)
+    assert caches <= set(vars(cached))
     fresh = _closed(12)
-    assert not {"sides", "tangency"} & set(vars(fresh))
+    assert not caches & set(vars(fresh))
     assert cached == fresh and hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh)
     assert polygon_to_dict(cached) == polygon_to_dict(fresh)
@@ -88,7 +100,12 @@ def test_caches_stay_out_of_equality_repr_and_json():
     assert text == serialize(fresh) and set(json.loads(text)) == {
         "p", "t", "theta", "phi", "n", "closed", "vertices"}
     back = deserialize(text)
-    assert back == cached and not {"sides", "tangency"} & set(vars(back))
+    assert back == cached and not caches & set(vars(back))
+    copy = replace(cached)
+    assert not caches & set(vars(copy))
+    assert copy.side_coefficients == cached.side_coefficients
+    assert copy.side_coefficients is not cached.side_coefficients
+    assert copy.side(1) == cached.side(1) and copy.side(1) is not cached.side(1)
 
 
 def test_side_indexing_over_the_cache():
