@@ -22,7 +22,7 @@ every output is hashed by kind:
     cli             the fixed cli.main pipelines of CLI_PIPELINES: each call's
                     stdout, stderr and exit code, and the files it writes
     tangency        tangency_points, as polygon JSON, and on even n the
-                    opposite-side intersections with their fitted line
+                    opposite-side intersections with the directrix x = -1/p
     sides           DiscreteConic.sides after the checks ran, each side's
                     (a, b, c) as exact float reprs
 

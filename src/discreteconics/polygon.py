@@ -28,7 +28,6 @@ from .kernel import (
     coefficients_through,
     intersect_lines,
     normalize_angle,
-    total_least_squares_line,
 )
 from .pencil import FocalConic, check_p, focal_parameter, focal_radii, pencil_member, point_at
 
@@ -310,18 +309,19 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
 
 def opposite_side_intersections(d: DiscreteConic) -> tuple[list[Point], Line]:
     """Intersections K_i = S_i n S_{i+n/2} of a closed even-sided polygon,
-    with the total-least-squares line through them.
+    with the line they lie on: the shared directrix x = -1/p.
 
-    The fitted line is perpendicular to the axis through the two foci; on the
-    circle member every opposite pair is parallel and there is nothing to
-    intersect.
+    The directrix is the focal homology's image of the line at infinity,
+    where a regular polygon's opposite sides meet; it is perpendicular to
+    the axis through the two foci.  On the circle member every opposite pair
+    is parallel and there is nothing to intersect.
     """
     indexed, line = _indexed_opposite_intersections(d)
     return [k for _, k in indexed], line
 
 
 def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, Point]], Line]:
-    """(i, K_i) for each opposite pair that meets, and the line through the K_i."""
+    """(i, K_i) for each opposite pair that meets, and the directrix x = -1/p."""
     if not d.closed:
         raise NotClosed("opposite sides require a closed polygon")
     if d.n % 2 != 0:
@@ -336,4 +336,4 @@ def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, P
             continue
     if len(indexed) < 2:
         raise AllOppositeSidesParallel("all opposite side pairs are parallel")
-    return indexed, total_least_squares_line([pt for _, pt in indexed])
+    return indexed, Line(1.0, 0.0, 1.0 / d.p)

@@ -228,15 +228,30 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 
+def _directrix_incidence(p: float, l1, l2) -> float:
+    """|det[l1; l2; (p, 0, 1)]| over the product of the three rows' lengths:
+    zero exactly when the lines l1, l2 and the directrix x = -1/p meet in
+    one point."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = p * (b1 * c2 - b2 * c1) + a1 * b2 - a2 * b1
+    return abs(det) / (math.hypot(a1, b1, c1) * math.hypot(a2, b2, c2) * math.hypot(p, 1.0))
+
+
 def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
-    """Opposite-side intersections of a closed even-sided polygon are
-    collinear on a line perpendicular to the focal axis, and subtend equal
-    angles at the shared focus."""
+    """Opposite sides of a closed even-sided polygon meet on the directrix
+    x = -1/p, at points that subtend equal angles at the shared focus.
+
+    One incidence residual per opposite pair that meets, from the side
+    coefficients alone: it needs no intersection point, so a nearly parallel
+    pair, whose K_i lies far out, costs it no accuracy.  Then one angle step
+    per consecutive pair of intersections, 2*count - 1 residuals in all.
+    """
     # Angle bookkeeping needs the pair indices: a parallel opposite pair has
     # its intersection at infinity, leaving a gap in the sequence.
-    indexed, line = _indexed_opposite_intersections(d)
-    residuals = [line.distance_to(pt) for _, pt in indexed]
-    residuals.append(abs(line.b))  # vertical line has direction (0, 1)
+    indexed, _ = _indexed_opposite_intersections(d)
+    s, m = d.side_coefficients, d.n // 2
+    residuals = [_directrix_incidence(d.p, s[i - 1], s[i - 1 + m]) for i, _ in indexed]
     f = d.focus
     rays = [(i, ray_angle(f, pt)) for i, pt in indexed]
     for (i1, a1), (i2, a2) in zip(rays, rays[1:]):
@@ -250,8 +265,7 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
                 abs(wrapped_diff(delta, expected - math.pi)),
             )
         )
-    x_at = -line.c / line.a if abs(line.a) > 1e-12 else math.inf
-    return make_report("pascal_line", residuals, tol, line_x=x_at, count=len(indexed))
+    return make_report("pascal_line", residuals, tol, line_x=-1.0 / d.p, count=len(indexed))
 
 
 # ---------------------------------------------------------------------------

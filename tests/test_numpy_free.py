@@ -1,10 +1,11 @@
-"""The library runs without numpy: the homography, the Pascal-line fit, the
-projective-map check and the circle fit are plain Python.
+"""The library runs without numpy: the homography, the projective-map check
+and the circle fit are plain Python, and the Pascal line is the directrix
+x = -1/p, which needs no fit.
 
-The numpy versions they replaced (the 8x9 DLT null vector by SVD, the SVD
-total-least-squares line, the numpy norm/determinant map check and the
-lstsq circle fit) are kept here as oracles.  numpy is needed only by these
-oracles and by the tests' random inputs.
+The numpy versions they replaced (the 8x9 DLT null vector by SVD, the numpy
+norm/determinant map check and the lstsq circle fit) are kept here as
+oracles.  numpy is needed only by these oracles and by the tests' random
+inputs.
 """
 
 import json
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discreteconics import polygon
 from discreteconics.duality import Reciprocator, dual_conic, pole_of
-from discreteconics.errors import DegenerateConfiguration, FocusOutsideDual
+from discreteconics.errors import (AllOppositeSidesParallel, DegenerateConfiguration,
+                                   FocusOutsideDual)
 from discreteconics.kernel import (
     DEGENERACY_EPS,
     Line,
@@ -30,7 +31,6 @@ from discreteconics.kernel import (
     _projective_basis,
     map_xy,
     projective_from_correspondences,
-    total_least_squares_line,
 )
 from discreteconics.pencil import (
     Circle,
@@ -40,8 +40,7 @@ from discreteconics.pencil import (
     pencil_member,
 )
 from discreteconics.polygon import opposite_side_intersections, synthesize
-from discreteconics.verify import (DEFAULT_TOL, check_pascal_line, check_projective_regular,
-                                   make_report)
+from discreteconics.verify import DEFAULT_TOL, check_projective_regular, make_report
 from test_fast_paths import MEMBERS, POLYGONS, _outcome, _polygon
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -59,27 +58,11 @@ def reference_projective_from_correspondences(src, dst):
     return ProjectiveMap(vt[-1].reshape(3, 3))
 
 
-def reference_line(points):
-    """The earlier total-least-squares line: dominant right singular vector
-    of the centred coordinates."""
-    xy = np.array([[pt.x, pt.y] for pt in points])
-    centroid = xy.mean(axis=0)
-    _, _, vt = np.linalg.svd(xy - centroid)
-    dx, dy = vt[0]
-    return Line.from_coefficients(-dy, dx, dy * centroid[0] - dx * centroid[1])
-
-
 def unnormalized_projective_from_correspondences(src, dst):
     """The shipped construction B * adj(A) without Hartley normalization."""
     a = _projective_basis([(p.x, p.y) for p in src])
     b = _projective_basis([(p.x, p.y) for p in dst])
     return ProjectiveMap(_matmul3(b, _adjugate3(a)))
-
-
-def _with(monkeypatch, module, name, fn, check, d):
-    with monkeypatch.context() as m:
-        m.setattr(module, name, fn)
-        return _outcome(check, d)
 
 
 LARGE = [(label, p, t) for label, p, t in MEMBERS if label in ("ellipse", "hyperbola")]
@@ -174,28 +157,28 @@ def test_homography_keeps_collinear_guard():
 
 
 # ---------------------------------------------------------------------------
-# Total-least-squares line against the SVD
+# The Pascal line is the directrix, not a fit
 
 
 @pytest.mark.parametrize("p, t, n, w", PASCAL_CASES)
-def test_pascal_line_matches_svd_oracle(p, t, n, w, monkeypatch):
-    d = _polygon(p, t, n, w)
-    new = _outcome(check_pascal_line, d)
-    ref = _with(monkeypatch, polygon, "total_least_squares_line", reference_line,
-                check_pascal_line, d)
-    if isinstance(ref, type):
-        assert new is ref
+def test_opposite_sides_meet_on_the_directrix(p, t, n, w):
+    outcome = _outcome(opposite_side_intersections, _polygon(p, t, n, w))
+    if isinstance(outcome, type):  # the circle member: every opposite pair is parallel
+        assert outcome is AllOppositeSidesParallel and p == 0.0
         return
-    assert new.passed == ref.passed and new.metadata["count"] == ref.metadata["count"]
-    assert math.isclose(new.metadata["line_x"], ref.metadata["line_x"], rel_tol=1e-12)
-    points, line = opposite_side_intersections(d)
-    want = reference_line(points)
-    # Largest coefficient difference on these cases: 7.1e-16.
-    assert max(abs(line.a - want.a), abs(line.b - want.b),
-               abs(line.c - want.c) / max(1.0, abs(want.c))) <= 1e-12
+    points, line = outcome
+    assert line == Line(1.0, 0.0, 1.0 / p)
+    # Largest |K_x + 1/p| / max(1, |K|) on these cases: 1.4e-13.
+    assert max(abs(k.x + 1.0 / p) / max(1.0, math.hypot(k.x, k.y)) for k in points) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Total-least-squares line on exact lines
 
 
 def test_total_least_squares_line_on_exact_lines():
+    from discreteconics.kernel import total_least_squares_line
+
     rng = np.random.default_rng(53)
     for _ in range(50):
         a, c = rng.uniform(-math.pi, math.pi), rng.uniform(-3, 3)
