@@ -104,6 +104,11 @@ expect 0 "$dc generate --p 0.5 --t 1 --theta 1e-320 --n 5 | $dc transform --op G
 expect 0 "$dc generate --p 0.5 --t 1 --theta 5pi/6 --n 12 | $dc verify"
 # Tiny p: opposite sides meet on the directrix about 1/p away, and pascal_line passes.
 expect 0 "$dc generate --p 0.001 --t 0.0128 --theta 5pi/6 --n 12 --phi -2.322 | $dc verify"
+# A large even polygon: the side lines, the opposite-side intersections and
+# the grid layer each go through one batch call.
+large="$dc generate --p 0.75 --t 0.5 --theta 2pi/240 --n 240"
+expect 0 "$large | $dc verify --check pascal_line"
+expect 0 "$large | $dc grid --k 2 | $dc verify"
 # A transform angle outside [0, pi): the error names the element and its angle.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | $dc transform --op G --angle 7pi/6"
 grep -q 'G acts at the angle' "$work/stderr" || { echo "FAIL transform did not name G's angle"; status=1; }

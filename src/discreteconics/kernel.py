@@ -120,6 +120,31 @@ def coefficients_through(p: Point, q: Point) -> tuple[float, float, float]:
     return normalized_coefficients(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
+def line_coefficients(us, vs) -> list[tuple[float, float, float]]:
+    """The (a, b, c) of line_through(u, v) for each pair of points, bit for
+    bit: coefficients_through's float operations in its order, then Line's
+    finiteness check, which a normalized c can fail by overflowing.  Each
+    error is the one a line_through loop raises first."""
+    out = []
+    for p, q in zip(us, vs):
+        px, py, qx, qy = p.x, p.y, q.x, q.y
+        if math.hypot(px - qx, py - qy) < DEGENERACY_EPS:
+            raise CoincidentPoints(f"points {p} and {q} coincide")
+        a, b, c = py - qy, qx - px, px * qy - qx * py
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
+        norm = math.hypot(a, b)
+        if norm < DEGENERACY_EPS:
+            raise DegenerateConfiguration("line with zero normal vector")
+        a, b, c = a / norm, b / norm, c / norm
+        if a < 0.0 or (a == 0.0 and b < 0.0):
+            a, b, c = -a, -b, -c
+        if not math.isfinite(c):  # |a|, |b| <= 1 after the division
+            raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
+        out.append((a, b, c))
+    return out
+
+
 def intersect_lines(l1: Line, l2: Line) -> Point:
     """The meeting point of two lines, each a Line or its (a, b, c) tuple."""
     a1, b1, c1 = l1 if type(l1) is tuple else (l1.a, l1.b, l1.c)
@@ -132,24 +157,31 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return Point(x, y)
 
 
+def intersections_xy(firsts, seconds, skip_parallel: bool = False) -> list:
+    """intersect_lines of each pair of (a, b, c) tuples as an (x, y) pair,
+    bit for bit, without the Point: its float operations in its order, its
+    ParallelLines and Point's ValueError for a non-finite coordinate, each
+    error at the first pair that fails.  With skip_parallel a parallel pair
+    gives None instead of raising."""
+    out = []
+    for l1, l2 in zip(firsts, seconds):
+        (a1, b1, c1), (a2, b2, c2) = l1, l2
+        det = a1 * b2 - a2 * b1
+        if abs(det) < DEGENERACY_EPS:
+            if skip_parallel:
+                out.append(None)
+                continue
+            raise ParallelLines(f"lines {l1} and {l2} are parallel")
+        x = (b1 * c2 - b2 * c1) / det
+        y = (a2 * c1 - a1 * c2) / det
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        out.append((x, y))
+    return out
+
+
 def _centroid(points: list[Point]) -> tuple[float, float]:
     return sum(p.x for p in points) / len(points), sum(p.y for p in points) / len(points)
-
-
-def total_least_squares_line(points: list[Point]) -> Line:
-    """Line minimizing the sum of squared distances to the points.
-
-    It passes through the centroid along the principal axis of the centred
-    2x2 scatter matrix [[Sxx, Sxy], [Sxy, Syy]], whose direction angle is
-    atan2(2 Sxy, Sxx - Syy) / 2.
-    """
-    cx, cy = _centroid(points)
-    sxx = sum((p.x - cx) ** 2 for p in points)
-    syy = sum((p.y - cy) ** 2 for p in points)
-    sxy = sum((p.x - cx) * (p.y - cy) for p in points)
-    half = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    dx, dy = math.cos(half), math.sin(half)
-    return Line.from_coefficients(-dy, dx, dy * cx - dx * cy)
 
 
 def foot_perpendicular(p: Point, line: Line) -> Point:
@@ -167,6 +199,19 @@ def ray_angle(f: Point, a: Point) -> float:
     if distance(f, a) < DEGENERACY_EPS:
         raise DegenerateRay("ray endpoint coincides with the vertex")
     return math.atan2(a.y - f.y, a.x - f.x)
+
+
+def ray_angles(f, xys) -> list[float]:
+    """ray_angle from the vertex f to each endpoint, bit for bit, all of them
+    (x, y) pairs: DegenerateRay at the first endpoint within DEGENERACY_EPS
+    of f."""
+    fx, fy = f
+    out = []
+    for x, y in xys:
+        if math.hypot(fx - x, fy - y) < DEGENERACY_EPS:
+            raise DegenerateRay("ray endpoint coincides with the vertex")
+        out.append(math.atan2(y - fy, x - fx))
+    return out
 
 
 def directed_angle(f: Point, a: Point, b: Point) -> float:
@@ -271,14 +316,25 @@ def projective_from_correspondences(src: list[Point], dst: list[Point]) -> Proje
 
 def map_xy(m: ProjectiveMap, x: float, y: float) -> tuple[float, float]:
     """The image of the point (x, y) under m, as a coordinate pair."""
+    return map_points_xy(m, (Point(x, y),))[0]
+
+
+def map_points_xy(m: ProjectiveMap, points) -> list[tuple[float, float]]:
+    """The image of each point under m as a coordinate pair, with m's
+    entries read once: PointAtInfinity at the first point that maps to the
+    vanishing line."""
     (a, b, c), (d, e, f), (g, h, i) = m.m
-    hx = a * x + b * y + c
-    hy = d * x + e * y + f
-    hw = g * x + h * y + i
-    if abs(hw) < DEGENERACY_EPS * max(1.0, abs(hx), abs(hy)):
-        raise PointAtInfinity(f"{Point(x, y)} maps to the vanishing line")
-    return hx / hw, hy / hw
+    out = []
+    for p in points:
+        x, y = p.x, p.y
+        hx = a * x + b * y + c
+        hy = d * x + e * y + f
+        hw = g * x + h * y + i
+        if abs(hw) < DEGENERACY_EPS * max(1.0, abs(hx), abs(hy)):
+            raise PointAtInfinity(f"{Point(x, y)} maps to the vanishing line")
+        out.append((hx / hw, hy / hw))
+    return out
 
 
 def apply_map(m: ProjectiveMap, p: Point) -> Point:
-    return Point(*map_xy(m, p.x, p.y))
+    return Point(*map_points_xy(m, (p,))[0])

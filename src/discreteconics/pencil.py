@@ -8,7 +8,8 @@ The canonical parametrization is the focal polar form
 
 measured from F; r may be negative on the far branch of a hyperbola member.
 focal_radius evaluates it at one angle; focal_radii at many, with the same
-float operations and the member's constants formed once.  The pencil equation
+float operations and the member's constants formed once, and points_at_xy
+gives the points at many angles as coordinate pairs.  The pencil equation
 makes r = sqrt(t) * (1 + p*x), so the angle of a point at F, its signed focal
 parameter alpha (point_at(member, alpha) is the point), is the ray angle plus
 pi where 1 + p*x < 0.  focal_parameters is the one place that computes it.
@@ -141,6 +142,23 @@ def focal_radii(c: FocalConic, alphas):
 def point_at(c: FocalConic, alpha: float) -> Point:
     r = focal_radius(c, alpha)
     return Point(-c.p + r * math.cos(alpha), r * math.sin(alpha))
+
+
+def points_at_xy(c: FocalConic, alphas):
+    """point_at's coordinates at each angle as (x, y) pairs, bit for bit:
+    focal_radii's radius, with cos(alpha) formed once for the radius and
+    x.  Lazy, so a caller building a point per pair meets all errors in
+    angle order."""
+    rt = math.sqrt(c.t)
+    rtp = rt * c.p
+    num = rt * (1.0 - c.p * c.p)
+    for alpha in alphas:
+        cos_a = math.cos(alpha)
+        denom = 1.0 - rtp * cos_a
+        if abs(denom) < DEGENERACY_EPS:
+            raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+        r = num / denom
+        yield -c.p + r * cos_a, r * math.sin(alpha)
 
 
 def parameter_of(p: float, x: Point) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 
 from .errors import (AllOppositeSidesParallel, AngleOutOfRange, FormulaPole, GeometryError,
                      NotClosed, OnExcludedLine, ParallelLines)
@@ -24,12 +25,12 @@ from .kernel import (
     TWO_PI,
     Line,
     Point,
-    _check_coefficients,
-    coefficients_through,
     intersect_lines,
+    intersections_xy,
+    line_coefficients,
     normalize_angle,
 )
-from .pencil import FocalConic, check_p, focal_parameter, focal_radii, pencil_member, point_at
+from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at, points_at_xy
 
 _CLOSURE_EPS = 1e-9
 
@@ -90,12 +91,12 @@ class DiscreteConic:
 
     @cached_property
     def side_coefficients(self) -> tuple[tuple[float, float, float], ...]:
-        """The normalized (a, b, c) of S_1..S_num_sides, each formed once per
-        instance with line_through's float operations and checks: the one
-        place side geometry is computed."""
+        """The normalized (a, b, c) of S_1..S_num_sides, formed once per
+        instance in one line_coefficients call, with line_through's float
+        operations and checks: the one place side geometry is computed."""
         v = self.vertices
         following = v[1:] + v[:1] if self.closed else v[1:]
-        return tuple(map(_side_coefficients, v, following))
+        return tuple(line_coefficients(v, following))
 
     @cached_property
     def sides(self) -> tuple[Line, ...]:
@@ -153,14 +154,6 @@ class DiscreteConic:
         return self.n if self.closed else self.n - 1
 
 
-def _side_coefficients(u: Point, v: Point) -> tuple[float, float, float]:
-    """line_through(u, v)'s coefficients and checks, without the Line: its
-    finiteness check too, which a normalized c can fail by overflowing."""
-    abc = coefficients_through(u, v)
-    _check_coefficients(*abc)
-    return abc
-
-
 def _is_closed(n: int, theta: float) -> bool:
     """n*theta is a whole number of turns, and at least one: n*theta > pi,
     which n tiny steps that add up to nearly nothing, or a NaN theta, fail."""
@@ -181,18 +174,15 @@ def _check_theta_n(p: float, theta: float, n: int, phi: float) -> None:
 
 def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
-    verts = tuple(Point(x, y) for x, y in _synthesized_xy(p, t, theta, phi, n))
+    verts = tuple(starmap(Point, _synthesized_xy(p, t, theta, phi, n)))
     return DiscreteConic(float(p), float(t), theta, phi, verts)
 
 
 def _synthesized_xy(p: float, t: float, theta: float, phi: float, n: int):
-    """synthesize's checks, then its vertices as (x, y) pairs, lazily and in
-    angle order, so a caller meets the errors synthesize raises."""
+    """synthesize's checks, then a lazy iterator over its vertices as (x, y)
+    pairs in angle order, so a caller meets the errors synthesize raises."""
     _check_theta_n(p, theta, n, phi)
-    c = pencil_member(p, t)
-    alphas = [phi + j * theta for j in range(n)]
-    for a, r in zip(alphas, focal_radii(c, alphas)):
-        yield -c.p + r * math.cos(a), r * math.sin(a)
+    return points_at_xy(pencil_member(p, t), [phi + j * theta for j in range(n)])
 
 
 def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> DiscreteConic:
@@ -297,7 +287,7 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
             raise ParallelLines(parallel)
         raise OnExcludedLine(f"side lines {k} apart meet on the excluded line x = {-1.0 / d.p}")
     try:
-        verts = tuple(intersect_lines(s[i], s[(i + k) % d.n]) for i in range(d.n))
+        verts = tuple(starmap(Point, intersections_xy(s, s[k:] + s[:k])))
     except ParallelLines:
         raise ParallelLines(parallel)
     sec_k = 1.0 / cos_k
@@ -317,23 +307,21 @@ def opposite_side_intersections(d: DiscreteConic) -> tuple[list[Point], Line]:
     is parallel and there is nothing to intersect.
     """
     indexed, line = _indexed_opposite_intersections(d)
-    return [k for _, k in indexed], line
+    return [Point(x, y) for _, (x, y) in indexed], line
 
 
-def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list[tuple[int, Point]], Line]:
-    """(i, K_i) for each opposite pair that meets, and the directrix x = -1/p."""
+def _indexed_opposite_intersections(d: DiscreteConic) -> tuple[list, Line]:
+    """(i, K_i) for each opposite pair that meets, K_i as an (x, y) pair, and
+    the directrix x = -1/p."""
     if not d.closed:
         raise NotClosed("opposite sides require a closed polygon")
     if d.n % 2 != 0:
         raise GeometryError("opposite sides require an even-sided polygon")
     m = d.n // 2
     s = d.side_coefficients
-    indexed = []
-    for i in range(1, m + 1):  # one point per distinct opposite pair
-        try:
-            indexed.append((i, intersect_lines(s[i - 1], s[i - 1 + m])))
-        except ParallelLines:
-            continue
+    # One point per distinct opposite pair, S_i and S_{i+m}.
+    meets = intersections_xy(s[:m], s[m:], skip_parallel=True)
+    indexed = [(i, k) for i, k in enumerate(meets, 1) if k is not None]
     if len(indexed) < 2:
         raise AllOppositeSidesParallel("all opposite side pairs are parallel")
     return indexed, Line(1.0, 0.0, 1.0 / d.p)

@@ -162,7 +162,12 @@ def _escape(text) -> str:
 
 def _points_attr(pairs) -> str:
     """(x, y) float pairs as 'x,y x,y ...': repr is _fmt on a float."""
-    return " ".join(f"{x!r},{y!r}" for x, y in pairs)
+    return " ".join([f"{x!r},{y!r}" for x, y in pairs])
+
+
+def _vertices_attr(points) -> str:
+    """_points_attr of the points' (x, y) pairs, without building the pairs."""
+    return " ".join([f"{v.x!r},{v.y!r}" for v in points])
 
 
 def render_svg(s: Scene) -> str:
@@ -190,7 +195,7 @@ def render_svg(s: Scene) -> str:
         color += 1
         tag = "polygon" if poly.closed else "polyline"
         body.append(
-            f'<{tag} points="{_points_attr((v.x, v.y) for v in poly.vertices)}" fill="none" '
+            f'<{tag} points="{_vertices_attr(poly.vertices)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{sw}"/>'
         )
     for line in s.lines:

@@ -23,9 +23,9 @@ from .kernel import (
     foot_perpendicular,
     intersect_lines,
     line_through,
-    map_xy,
+    map_points_xy,
     normalize_angle,
-    ray_angle,
+    ray_angles,
     reflect_point,
     wrapped_diff,
 )
@@ -122,10 +122,10 @@ def check_projective_regular(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Repo
         raise NotClosed("projective regularity is checked on closed polygons")
     m = ProjectiveMap(((1.0, 0.0, d.p), (0.0, 1.0, 0.0), (d.p, 0.0, 1.0)))
     r = math.sqrt(d.t)
+    phi, theta = d.phi, d.theta
     residuals = []
-    for j, v in enumerate(d.vertices):
-        x, y = map_xy(m, v.x, v.y)
-        a = d.phi + j * d.theta
+    for j, (x, y) in enumerate(map_points_xy(m, d.vertices)):
+        a = phi + j * theta
         residuals.append(math.hypot(x / r - math.cos(a), y / r - math.sin(a)))
     return make_report("projective_regular", residuals, tol, winding=d.winding)
 
@@ -228,14 +228,16 @@ def check_grid(d: DiscreteConic, k: int, tol: float = DEFAULT_TOL) -> Report:
     return make_report("grid", residuals, tol, k=k, layer_t=layer.t)
 
 
-def _directrix_incidence(p: float, l1, l2) -> float:
-    """|det[l1; l2; (p, 0, 1)]| over the product of the three rows' lengths:
-    zero exactly when the lines l1, l2 and the directrix x = -1/p meet in
-    one point."""
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = p * (b1 * c2 - b2 * c1) + a1 * b2 - a2 * b1
-    return abs(det) / (math.hypot(a1, b1, c1) * math.hypot(a2, b2, c2) * math.hypot(p, 1.0))
+def _directrix_incidences(p: float, firsts, seconds) -> list[float]:
+    """For each pair of lines l1, l2: |det[l1; l2; (p, 0, 1)]| over the
+    product of the three rows' lengths, zero exactly when l1, l2 and the
+    directrix x = -1/p meet in one point."""
+    p_length = math.hypot(p, 1.0)
+    out = []
+    for (a1, b1, c1), (a2, b2, c2) in zip(firsts, seconds):
+        det = p * (b1 * c2 - b2 * c1) + a1 * b2 - a2 * b1
+        out.append(abs(det) / (math.hypot(a1, b1, c1) * math.hypot(a2, b2, c2) * p_length))
+    return out
 
 
 def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
@@ -246,15 +248,16 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     coefficients alone: it needs no intersection point, so a nearly parallel
     pair, whose K_i lies far out, costs it no accuracy.  Then one angle step
     per consecutive pair of intersections, 2*count - 1 residuals in all.
+    The K_i are read as coordinate pairs; the check builds no Point.
     """
     # Angle bookkeeping needs the pair indices: a parallel opposite pair has
     # its intersection at infinity, leaving a gap in the sequence.
     indexed, _ = _indexed_opposite_intersections(d)
     s, m = d.side_coefficients, d.n // 2
-    residuals = [_directrix_incidence(d.p, s[i - 1], s[i - 1 + m]) for i, _ in indexed]
-    f = d.focus
-    rays = [(i, ray_angle(f, pt)) for i, pt in indexed]
-    for (i1, a1), (i2, a2) in zip(rays, rays[1:]):
+    index = [i for i, _ in indexed]
+    residuals = _directrix_incidences(d.p, [s[i - 1] for i in index], [s[i - 1 + m] for i in index])
+    angles = ray_angles((-d.p, 0.0), [k for _, k in indexed])  # at the focus (-p, 0)
+    for i1, i2, a1, a2 in zip(index, index[1:], angles, angles[1:]):
         # The points may straddle the focus, so compare the angle step
         # between the focal *lines* (modulo pi), not the rays.
         delta = normalize_angle(a2 - a1)

@@ -4,12 +4,14 @@ points only where a check reads them.
 DiscreteConic caches its normalized side coefficients, the side Lines built
 from them and its tangency polygon on first use.  These tests count the
 builds over one run_checks plus grid_layer: one coefficient triple per
-side, at most four Lines (a side each for reflective and isogonal to read,
-and pascal_line's fitted line), four tangency points on an even n
-(reflective and isogonal read two each through tangency_point) and the
-whole tangency polygon only for the odd-n diagonals.  They also check that
-the caches never leak: not into a copy made with dataclasses.replace, and
-not into equality, repr, hashing or JSON.
+side, all formed in one line_coefficients call, at most four Lines (a side
+each for reflective and isogonal to read, and the directrix that
+pascal_line gets with the opposite-side intersections), four tangency
+points on an even n (reflective and isogonal read two each through
+tangency_point) and the whole tangency polygon only for the odd-n
+diagonals.  They also check that the caches never leak: not into a copy
+made with dataclasses.replace, and not into equality, repr, hashing or
+JSON.
 """
 
 import json
@@ -30,16 +32,16 @@ def _closed(n, p=0.75, t=0.5):
 
 
 @pytest.mark.parametrize("n", [240, 480, 241])
-def test_one_run_forms_each_side_once_and_builds_at_most_four_lines(n, monkeypatch):
+def test_one_run_forms_the_sides_in_one_batch_and_builds_at_most_four_lines(n, monkeypatch):
     d = _closed(n)
     inner = d.inner
-    pairs, counts = [], {"lines": 0, "inner_point_at": 0}
-    real_coefficients, real_point_at = polygon.coefficients_through, polygon.point_at
+    batches, counts = [], {"lines": 0, "inner_point_at": 0}
+    real_coefficients, real_point_at = polygon.line_coefficients, polygon.point_at
     real_post_init = Line.__post_init__
 
-    def counted_coefficients(u, v):
-        pairs.append((u, v))
-        return real_coefficients(u, v)
+    def counted_coefficients(us, vs):
+        batches.append(list(zip(us, vs)))
+        return real_coefficients(us, vs)
 
     def counted_post_init(line):
         counts["lines"] += 1
@@ -50,13 +52,13 @@ def test_one_run_forms_each_side_once_and_builds_at_most_four_lines(n, monkeypat
             counts["inner_point_at"] += 1
         return real_point_at(c, alpha)
 
-    monkeypatch.setattr(polygon, "coefficients_through", counted_coefficients)
+    monkeypatch.setattr(polygon, "line_coefficients", counted_coefficients)
     monkeypatch.setattr(Line, "__post_init__", counted_post_init)
     monkeypatch.setattr(polygon, "point_at", counted_point_at)
     run_checks(d)
     grid_layer(d, 2)
     v = d.vertices
-    assert pairs == list(zip(v, v[1:] + v[:1]))  # each side once, in order
+    assert batches == [list(zip(v, v[1:] + v[:1]))]  # each side once, in order, in one call
     assert counts["lines"] <= 4
     if n % 2 == 0:
         assert counts["inner_point_at"] == 4 and "tangency" not in vars(d)

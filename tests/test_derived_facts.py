@@ -3,7 +3,7 @@
 A polygon's n and closed and a report's max_residual and passed are derived
 in __post_init__, on every construction route, and JSON that states them
 must agree.  check_projective_regular fits no homography and
-check_pascal_line intersects each opposite pair of sides once; the earlier
+check_pascal_line meets each opposite pair of sides once; the earlier
 two-fit projective check and two-pass Pascal angle steps are kept below as
 oracles.
 """
@@ -282,12 +282,28 @@ def test_projective_regular_makes_no_fit(monkeypatch, n, w):
 
 
 @pytest.mark.parametrize("n, w", [(8, 1), (12, 1), (10, 3), (240, 1)])
-def test_pascal_line_intersects_each_opposite_pair_once(monkeypatch, n, w):
-    calls = []
+def test_pascal_line_meets_each_opposite_pair_once_and_builds_no_point(monkeypatch, n, w):
+    d = _polygon(0.75, 0.5, n, w)
+    calls, pairs, points = [], [], []
     for module in (polygon, verify):
         _counting(monkeypatch, module, "intersect_lines", calls)
-    check_pascal_line(_polygon(0.75, 0.5, n, w))
-    assert len(calls) == n // 2
+    real_batch, real_post_init = polygon.intersections_xy, Point.__post_init__
+
+    def counted_batch(firsts, seconds, **kwargs):
+        firsts, seconds = list(firsts), list(seconds)
+        pairs.extend(zip(firsts, seconds))
+        return real_batch(firsts, seconds, **kwargs)
+
+    def counted_post_init(point):
+        points.append(point)
+        real_post_init(point)
+
+    monkeypatch.setattr(polygon, "intersections_xy", counted_batch)
+    monkeypatch.setattr(Point, "__post_init__", counted_post_init)
+    check_pascal_line(d)
+    s, m = d.side_coefficients, n // 2
+    assert calls == [] and pairs == list(zip(s[:m], s[m:]))
+    assert points == []
 
 
 # Largest incidence residual on these cases: 1.2e-15 (5.2e-14 with the

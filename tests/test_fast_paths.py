@@ -143,7 +143,8 @@ def test_apply_map_matches_numpy(p, t, n, w, monkeypatch):
         assert abs(got.x - want.x) <= 4 * EPS * (s[0] + abs(want.x) * s[2]) / abs(h_w)
         assert abs(got.y - want.y) <= 4 * EPS * (s[1] + abs(want.y) * s[2]) / abs(h_w)
     fast = check_projective_regular(d)
-    monkeypatch.setattr(verify, "map_xy", reference_map_xy)
+    monkeypatch.setattr(verify, "map_points_xy",
+                        lambda m, points: [reference_map_xy(m, v.x, v.y) for v in points])
     assert check_projective_regular(d).passed == fast.passed
 
 
@@ -157,12 +158,22 @@ def _count_calls(monkeypatch, module, name, counter):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_check_grid_call_count_is_linear(monkeypatch):
+def test_check_grid_pairs_met_are_linear(monkeypatch):
     """Linear in n, and with no reference polygon: check_grid reads its
-    reference as coordinates, so a synthesize call there would raise."""
+    reference as coordinates, so a synthesize call there would raise.  The
+    pairs met are those given to the batch meet polygon.intersections_xy
+    plus any scalar intersect_lines call."""
     counter = {"intersect_lines": 0}
     for module in (polygon, group):
         _count_calls(monkeypatch, module, "intersect_lines", counter)
+    real_batch = polygon.intersections_xy
+
+    def counted_batch(firsts, seconds, **kwargs):
+        firsts, seconds = list(firsts), list(seconds)
+        counter["intersect_lines"] += min(len(firsts), len(seconds))
+        return real_batch(firsts, seconds, **kwargs)
+
+    monkeypatch.setattr(polygon, "intersections_xy", counted_batch)
     polygons = {n: synthesize(0.75, 0.5, 2.0 * math.pi / n, 0.3, n) for n in (240, 480)}
 
     def no_reference_polygon(*args):

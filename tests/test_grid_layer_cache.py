@@ -35,6 +35,21 @@ def _count_intersections(monkeypatch):
     return counter
 
 
+def _count_pairs_met(monkeypatch):
+    """Calls to the batch meet polygon.intersections_xy and the pairs they get."""
+    counter = {"calls": 0, "pairs": 0}
+    real = polygon.intersections_xy
+
+    def counted(firsts, seconds, **kwargs):
+        firsts, seconds = list(firsts), list(seconds)
+        counter["calls"] += 1
+        counter["pairs"] += min(len(firsts), len(seconds))
+        return real(firsts, seconds, **kwargs)
+
+    monkeypatch.setattr(polygon, "intersections_xy", counted)
+    return counter
+
+
 def test_a_second_call_returns_the_same_layer():
     d = _closed(9)
     layer = grid_layer(d, 2)
@@ -44,13 +59,14 @@ def test_a_second_call_returns_the_same_layer():
 
 
 @pytest.mark.parametrize("n", [241, 240])
-def test_run_checks_and_grid_layer_build_the_layer_once(n, monkeypatch):
+def test_run_checks_and_grid_layer_meet_the_layer_pairs_once(n, monkeypatch):
     d = _closed(n)
-    counter = _count_intersections(monkeypatch)
+    counter = _count_pairs_met(monkeypatch)
     run_checks(d)
     grid_layer(d, 2)
     # n for the one layer; on even n, pascal_line meets the n/2 opposite pairs.
-    assert counter["intersect_lines"] == n + (n // 2 if n % 2 == 0 else 0)
+    assert counter["pairs"] == n + (n // 2 if n % 2 == 0 else 0)
+    assert counter["calls"] == (2 if n % 2 == 0 else 1)
 
 
 def test_the_cached_layer_is_the_one_check_grid_read(monkeypatch):
@@ -59,6 +75,16 @@ def test_the_cached_layer_is_the_one_check_grid_read(monkeypatch):
     counter = _count_intersections(monkeypatch)
     assert grid_layer(d, 2).t == report.metadata["layer_t"]
     assert counter["intersect_lines"] == 0
+
+
+def test_the_cached_layer_read_meets_no_pairs(monkeypatch):
+    d = _closed(11)
+    report = check_grid(d, 2)
+    counter = _count_pairs_met(monkeypatch)
+    assert grid_layer(d, 2).t == report.metadata["layer_t"]
+    assert counter == {"calls": 0, "pairs": 0}
+    grid_layer(d, 3)  # the counter sees an uncached layer
+    assert counter == {"calls": 1, "pairs": 11}
 
 
 SQUARE = synthesize(0.0, 1.0, math.pi / 2, 0.3, 4)  # opposite sides of a square are parallel

@@ -173,24 +173,6 @@ def test_opposite_sides_meet_on_the_directrix(p, t, n, w):
 
 
 # ---------------------------------------------------------------------------
-# Total-least-squares line on exact lines
-
-
-def test_total_least_squares_line_on_exact_lines():
-    from discreteconics.kernel import total_least_squares_line
-
-    rng = np.random.default_rng(53)
-    for _ in range(50):
-        a, c = rng.uniform(-math.pi, math.pi), rng.uniform(-3, 3)
-        want = Line.from_coefficients(math.cos(a), math.sin(a), c)
-        foot = Point(-want.c * want.a, -want.c * want.b)
-        ux, uy = want.direction()
-        points = [Point(foot.x + s * ux, foot.y + s * uy) for s in rng.uniform(-5, 5, 6)]
-        got = total_least_squares_line(points)
-        assert max(abs(got.a - want.a), abs(got.b - want.b), abs(got.c - want.c)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # The projective-map check without numpy
 
 

@@ -150,11 +150,12 @@ def test_directed_angle_raises_from_either_endpoint(near):
 
 
 def parent_pascal_steps(d):
-    """check_pascal_line's angle residuals as they were, through directed_angle."""
+    """check_pascal_line's angle residuals as they were, through directed_angle
+    on Points at the K_i."""
     indexed, _ = _indexed_opposite_intersections(d)
     steps = []
     for (i1, k1), (i2, k2) in zip(indexed, indexed[1:]):
-        delta = directed_angle(d.focus, k1, k2)
+        delta = directed_angle(d.focus, Point(*k1), Point(*k2))
         expected = (i2 - i1) * d.theta
         steps.append(min(abs(wrapped_diff(delta, expected)),
                          abs(wrapped_diff(delta, expected - math.pi))))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discreteconics import polygon, verify
+from discreteconics import kernel, polygon, verify
 from discreteconics.cli import main
 from discreteconics.errors import AllOppositeSidesParallel, GeometryError
 from discreteconics.kernel import Line
@@ -96,7 +96,7 @@ def test_pascal_line_passes_on_the_contract(p, log10_t, phi, half_n, data):
 
 
 def test_nothing_fits_the_pascal_line():
-    assert not hasattr(polygon, "total_least_squares_line")
-    assert not hasattr(verify, "total_least_squares_line")
+    for module in (kernel, polygon, verify):
+        assert not hasattr(module, "total_least_squares_line")
     points, line = opposite_side_intersections(synthesize(0.75, 0.5, math.pi / 4, 0.3, 8))
     assert len(points) == 4 and line == Line(1.0, 0.0, 1.0 / 0.75)

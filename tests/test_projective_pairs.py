@@ -1,7 +1,8 @@
 """check_projective_regular maps coordinate pairs, not throwaway Points.
 
-kernel.map_xy is the homography on an (x, y) pair and apply_map wraps it in
-a Point, so the map has one home.  The check builds no Point; its residuals
+kernel.map_points_xy maps many points to (x, y) pairs; map_xy (one pair)
+and apply_map (one Point) wrap it, so the map has one home.  The check maps
+its vertices in one map_points_xy call and builds no Point; its residuals
 must equal, bit for bit, the distance between apply_map of each vertex,
 scaled to radius 1, and the Point on the regular polygon.
 """
@@ -50,20 +51,22 @@ def test_residuals_equal_the_point_path_bit_for_bit(name):
     assert report.metadata == {"winding": d.winding}
 
 
-def test_every_vertex_goes_through_the_inverse_homology(monkeypatch):
+def test_the_batch_map_gets_every_vertex_with_the_inverse_homology(monkeypatch):
     d = POLYGONS["winding_5_star"]
     calls = []
-    real = verify.map_xy
+    real = verify.map_points_xy
 
-    def recorded(m, x, y):
-        calls.append((m, x, y))
-        return real(m, x, y)
+    def recorded(m, points):
+        points = list(points)
+        calls.append((m, points))
+        return real(m, points)
 
-    monkeypatch.setattr(verify, "map_xy", recorded)
+    monkeypatch.setattr(verify, "map_points_xy", recorded)
     check_projective_regular(d)
-    assert [(x, y) for _, x, y in calls] == [(v.x, v.y) for v in d.vertices]
-    assert all(m is calls[0][0] for m, _, _ in calls)
-    assert calls[0][0].m == _inverse_homology(d.p).m
+    assert len(calls) == 1
+    m, points = calls[0]
+    assert len(points) == d.n and all(p is v for p, v in zip(points, d.vertices))
+    assert m.m == _inverse_homology(d.p).m
 
 
 @pytest.mark.parametrize("name", POLYGONS)
@@ -85,10 +88,13 @@ def test_a_numpy_map_gives_the_same_verdict(monkeypatch):
         hx, hy, hw = np.array(m.m) @ np.array([x, y, 1.0])
         return float(hx / hw), float(hy / hw)
 
+    def numpy_map_points_xy(m, points):
+        return [numpy_map_xy(m, v.x, v.y) for v in points]
+
     for d in POLYGONS.values():
         fast = check_projective_regular(d)
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "map_xy", numpy_map_xy)
+            patch.setattr(verify, "map_points_xy", numpy_map_points_xy)
             slow = check_projective_regular(d)
         assert slow.passed == fast.passed
         assert max(abs(a - b) for a, b in zip(slow.residuals, fast.residuals)) < 1e-9
