@@ -43,6 +43,12 @@ expect 0 "$dc generate --p 0.75 --t 1 --theta 2pi/6 --n 6 | $dc render --out fig
 expect 0 "$dc generate --p 0.3 --t 20 --theta 2pi/7 --n 7 | $dc verify"
 expect 0 "$dc generate --p 0.5 --t 20 --theta 2pi/8 --n 8 | $dc grid --k 2 | $dc verify"
 
+# Actions at k > 1 times theta, whose vertex correspondence is verified:
+# H at k = 2, G at k = 3, and H on a hyperbola member.
+expect 0 "$gen | $dc transform --op H --angle 2pi/6"
+expect 0 "$gen | $dc transform --op G --angle pi/2"
+expect 0 "$dc generate --p 0.5 --t 20 --theta 2pi/8 --n 8 | $dc transform --op H --angle 3pi/4 | $dc verify"
+
 # The other exit codes.
 expect 1 "$gen | $dc verify --tol 1e-300"
 expect 2 "$dc generate --p 1 --t 0.5 --theta pi/6 --n 12"

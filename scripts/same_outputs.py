@@ -25,6 +25,9 @@ every output is hashed by kind:
                     opposite-side intersections with the directrix x = -1/p
     sides           DiscreteConic.sides after the checks ran, each side's
                     (a, b, c) as exact float reprs
+    correspondence  the message of what the G and H actions of images raise
+                    on sweep ops with group._CORRESPONDENCE_TOL = -1.0: every
+                    verified action fails, naming its worst residual's repr
 
 An op that raises records the exception type, not its message; a CLI call's
 stderr is hashed as it is.  Prints one sha256 per kind for each tree and
@@ -51,7 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The reports.<check> kinds come first, one per name in the tree's CHECK_NAMES.
 KINDS = ("polygon_json", "grid_layers", "images", "negative_pedal", "svg", "dual_conic",
-         "cli", "tangency", "sides")
+         "cli", "tangency", "sides", "correspondence")
 # (workload, seed, number of ops from op 0)
 SCHEDULES = (("large_n", 3, 90), ("sweep", 3, 3000))
 
@@ -121,6 +124,7 @@ def digests(src: Path) -> dict[str, str]:
     """sha256 per kind of every output of the tree at src."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import inputs
+    from discreteconics import group
     from discreteconics.cli import main
     from discreteconics.duality import Reciprocator, dual_conic
     from discreteconics.group import act_on_discrete, from_angle
@@ -143,6 +147,20 @@ def digests(src: Path) -> dict[str, str]:
             return None
         hashes[kind].update(f"{key} {text(out)}\n".encode())
         return out
+
+    def failing_correspondence(key, fn, *args):
+        """Hash the type and message of what fn(*args) raises with every
+        correspondence failing, or that it returned."""
+        saved, group._CORRESPONDENCE_TOL = group._CORRESPONDENCE_TOL, -1.0
+        try:
+            fn(*args)
+        except Exception as exc:
+            line = f"{key} raised {type(exc).__name__}: {exc}"
+        else:
+            line = f"{key} returned"
+        finally:
+            group._CORRESPONDENCE_TOL = saved
+        hashes["correspondence"].update(f"{line}\n".encode())
 
     def dual_circle(p, t, inside) -> str:
         c = pencil_member(p, t)
@@ -180,11 +198,15 @@ def digests(src: Path) -> dict[str, str]:
             record("svg", key, lambda: render_svg(Scene(conics=(d.carrier,), polygons=polygons)))
             if name == "sweep":
                 record("negative_pedal", key, negative_pedal, inp.p, inp.theta, inp.phi, inp.n)
-                record("images", f"{key}:H", act_on_discrete, from_angle("H", inp.k * inp.theta), d)
+                h = from_angle("H", inp.k * inp.theta)
+                record("images", f"{key}:H", act_on_discrete, h, d)
+                failing_correspondence(f"{key}:H", act_on_discrete, h, d)
                 cf = record("images", f"{key}:cf", closed_form_vertices,
                             inp.p, inp.theta, inp.phi + inp.theta, inp.n)
                 if cf is not None:
-                    record("images", f"{key}:G", act_on_discrete, from_angle("G", inp.theta), cf)
+                    g = from_angle("G", inp.theta)
+                    record("images", f"{key}:G", act_on_discrete, g, cf)
+                    failing_correspondence(f"{key}:G", act_on_discrete, g, cf)
     for j, stages in enumerate(CLI_PIPELINES):
         hashes["cli"].update(f"pipeline {j}\n".encode())
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):

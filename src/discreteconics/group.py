@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import AngleOutOfRange, NonpositiveT
-from .kernel import distance, intersect_lines, line_through
-from .pencil import Circle, point_at, tangent_at, tangency_residuals
+from .errors import AngleOutOfRange, NonpositiveT, ParallelLines
+from .kernel import DEGENERACY_EPS, Line, finite_xy, intersections_xy, line_coefficients_xy
+from .pencil import Circle, points_at_xy, tangency_residuals, tangent_coefficients
 from .polygon import DiscreteConic, synthesize
 
 _CORRESPONDENCE_TOL = 1e-9  # largest relative vertex distance act_on_discrete accepts
@@ -84,10 +84,11 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
     When the acted angle is an integer multiple k of the polygon's own theta,
     the image vertices coincide with tangent-line intersections (G) or chord
     tangency points (H) taken k apart on the original carrier; for
-    1 <= k <= n that vertex correspondence is verified numerically, on n + k
-    carrier lines, and recorded in the result's meta.  For other angles, and
-    for a ratio too large to be a float, the parametric image is returned
-    with the correspondence flagged as not asserted.
+    1 <= k <= n that vertex correspondence is verified numerically, from
+    the carrier's points at n + k angles (correspondence_residuals), and
+    recorded in the result's meta.  For other angles, and for a ratio too
+    large to be a float, the parametric image is returned with the
+    correspondence flagged as not asserted.
     """
     kind, psi = as_angle(e)
     out = image(e, d)
@@ -104,18 +105,38 @@ def act_on_discrete(e: GroupElement, d: DiscreteConic) -> DiscreteConic:
 
 
 def _verify_correspondence(d, out, kind, k):
-    # Image vertex j meets the carrier lines at angles j and j + k: n + k lines.
-    c, vs = d.carrier, out.vertices
-    alphas = [d.phi + j * d.theta for j in range(d.n + k)]
-    if kind == "G":
-        tangents = [tangent_at(c, a) for a in alphas]
-        zs = [intersect_lines(a, b) for a, b in zip(tangents, tangents[k:])]
-        residuals = [distance(z, v) / max(1.0, math.hypot(z.x, z.y)) for z, v in zip(zs, vs)]
-    else:
-        pts = [point_at(c, a) for a in alphas]
-        chords = [line_through(a, b) for a, b in zip(pts, pts[k:])]
-        residuals = [l.distance_to(v) / max(1.0, math.hypot(v.x, v.y)) for l, v in zip(chords, vs)]
-        residuals += tangency_residuals(out.carrier, chords)
-    worst = max(0.0, *residuals)
+    worst = max(0.0, *correspondence_residuals(d, out, kind, k))
     if worst > _CORRESPONDENCE_TOL:
         raise ValueError(f"vertex correspondence failed with residual {worst}")
+
+
+def correspondence_residuals(d, out, kind, k) -> list[float]:
+    """The residuals of out's vertices against d's carrier, k apart.
+
+    Image vertex j is met by the carrier at angles j and j + k, so the
+    carrier is read at n + k angles, as coordinate pairs.  G: the distance
+    from each vertex to the meet of the tangents there, relative to the
+    meet's size.  H: the distance from each vertex to the chord through
+    those points, relative to the vertex's size, then each chord's tangency
+    residual on out's carrier.  The values, and the errors, are those of
+    tangent_at, point_at, intersect_lines and line_through on Points and
+    Lines.
+    """
+    c, vs = d.carrier, out.vertices
+    alphas = [d.phi + j * d.theta for j in range(d.n + k)]
+    xys = finite_xy(points_at_xy(c, alphas))
+    if kind == "G":
+        tangents = tangent_coefficients(c, xys)
+        try:
+            zs = intersections_xy(tangents, tangents[k:])
+        except ParallelLines:  # named as Lines, as intersect_lines names them
+            a, b = next((a, b) for a, b in zip(tangents, tangents[k:])
+                        if abs(a[0] * b[1] - b[0] * a[1]) < DEGENERACY_EPS)
+            raise ParallelLines(f"lines {Line(*a)} and {Line(*b)} are parallel") from None
+        return [math.hypot(x - v.x, y - v.y) / max(1.0, math.hypot(x, y))
+                for (x, y), v in zip(zs, vs)]
+    xys = list(xys)
+    chords = line_coefficients_xy(xys, xys[k:])
+    residuals = [abs(a * v.x + b * v.y + w) / max(1.0, math.hypot(v.x, v.y))
+                 for (a, b, w), v in zip(chords, vs)]
+    return residuals + tangency_residuals(out.carrier, chords)

@@ -121,28 +121,39 @@ def coefficients_through(p: Point, q: Point) -> tuple[float, float, float]:
 
 
 def line_coefficients(us, vs) -> list[tuple[float, float, float]]:
-    """The (a, b, c) of line_through(u, v) for each pair of points, bit for
-    bit: coefficients_through's float operations in its order, then Line's
-    finiteness check, which a normalized c can fail by overflowing.  Each
-    error is the one a line_through loop raises first."""
+    """line_coefficients_xy for each pair of Points."""
+    return line_coefficients_xy([(p.x, p.y) for p in us], [(q.x, q.y) for q in vs])
+
+
+def line_coefficients_xy(us, vs) -> list[tuple[float, float, float]]:
+    """The (a, b, c) of line_through(u, v) for each pair of points, each an
+    (x, y) pair, bit for bit: coefficients_through's float operations in its
+    order, then Line's checks, which a normalized c can fail by overflowing.
+    Each error is the one a line_through loop raises first, CoincidentPoints
+    naming the two Points."""
     out = []
-    for p, q in zip(us, vs):
-        px, py, qx, qy = p.x, p.y, q.x, q.y
+    for (px, py), (qx, qy) in zip(us, vs):
         if math.hypot(px - qx, py - qy) < DEGENERACY_EPS:
-            raise CoincidentPoints(f"points {p} and {q} coincide")
-        a, b, c = py - qy, qx - px, px * qy - qx * py
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
-        norm = math.hypot(a, b)
-        if norm < DEGENERACY_EPS:
-            raise DegenerateConfiguration("line with zero normal vector")
-        a, b, c = a / norm, b / norm, c / norm
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b, c = -a, -b, -c
-        if not math.isfinite(c):  # |a|, |b| <= 1 after the division
-            raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
-        out.append((a, b, c))
+            raise CoincidentPoints(f"points {Point(px, py)} and {Point(qx, qy)} coincide")
+        out.append(checked_coefficients(py - qy, qx - px, px * qy - qx * py))
     return out
+
+
+def checked_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The (a, b, c) that Line.from_coefficients(a, b, c) stores, with every
+    check it makes, without the Line."""
+    a, b, c = normalized_coefficients(a, b, c)
+    _check_coefficients(a, b, c)  # Line's own check: a normalized c can overflow
+    return a, b, c
+
+
+def finite_xy(xys):
+    """Each (x, y) pair of xys, lazily, with the ValueError a Point of the
+    first non-finite pair raises."""
+    for x, y in xys:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        yield x, y
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:

@@ -28,7 +28,7 @@ from .errors import (
     OnExcludedLine,
     ParabolaMember,
 )
-from .kernel import DEGENERACY_EPS, Line, Point, _adjugate3, _centroid
+from .kernel import DEGENERACY_EPS, Line, Point, _adjugate3, _centroid, checked_coefficients
 
 # Half-width of the |eccentricity| = 1 band treated as a parabola.
 _CLASSIFY_EPS = 1e-12
@@ -225,6 +225,21 @@ def tangent_at(c: FocalConic, alpha: float) -> Line:
     gx = (p + pt.x) - t * p * (1.0 + p * pt.x)
     gy = pt.y
     return Line.from_coefficients(gx, gy, -(gx * pt.x + gy * pt.y))
+
+
+def tangent_coefficients(c: FocalConic, xys) -> list[tuple[float, float, float]]:
+    """The (a, b, c) of tangent_at at each point of c, given as point_at's
+    (x, y) pair, bit for bit: tangent_at's gradient in its order, with
+    t*p formed once, then the checks of its Line, each error at the first
+    point that fails.  Given points_at_xy's lazy pairs through finite_xy, it
+    raises what a tangent_at loop raises first."""
+    p = c.p
+    tp = c.t * p
+    out = []
+    for x, y in xys:
+        gx = (p + x) - tp * (1.0 + p * x)
+        out.append(checked_coefficients(gx, y, -(gx * x + y * y)))
+    return out
 
 
 def tangency_residual(c: FocalConic, line: Line) -> float:

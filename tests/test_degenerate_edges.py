@@ -109,25 +109,35 @@ def test_one_whole_turn_still_closes():
 
 
 def count_carrier_lines(monkeypatch):
+    """The group module's batch calls that form carrier tangents or chords."""
     calls = []
-    for name in ("tangent_at", "point_at"):
+    for name in ("tangent_coefficients", "line_coefficients_xy"):
         real = getattr(group, name)
         monkeypatch.setattr(group, name, lambda *a, real=real: calls.append(1) or real(*a))
     return calls
 
 
+def count_carrier_reads(monkeypatch):
+    """The angles of each points_at_xy call the group module makes."""
+    reads = []
+    real = group.points_at_xy
+    monkeypatch.setattr(group, "points_at_xy",
+                        lambda c, alphas: reads.append(list(alphas)) or real(c, alphas))
+    return reads
+
+
 @pytest.mark.parametrize("kind", ["G", "H"])
-def test_correspondence_is_asserted_up_to_k_equal_n(kind, monkeypatch):
+def test_correspondence_reads_2n_points_at_k_equal_n(kind, monkeypatch):
     n, theta = 3, 0.2
     d = synthesize(0.5, 1.0, theta, 0.0, n)
-    calls = count_carrier_lines(monkeypatch)
+    reads = count_carrier_reads(monkeypatch)
     out = act_on_discrete(from_angle(kind, n * theta), d)
     assert out.meta == {"vertex_correspondence": "verified", "k": n}
-    assert len(calls) == 2 * n
-    calls.clear()
+    assert [len(alphas) for alphas in reads] == [2 * n]
+    reads.clear()
     out = act_on_discrete(from_angle(kind, (n + 1) * theta), d)
     assert out.meta == {"vertex_correspondence": "not_asserted"}
-    assert calls == []
+    assert reads == []
 
 
 def test_a_ratio_near_a_large_integer_builds_no_lines(monkeypatch):
@@ -137,6 +147,15 @@ def test_a_ratio_near_a_large_integer_builds_no_lines(monkeypatch):
     out = act_on_discrete(e, d)
     assert out.meta == {"vertex_correspondence": "not_asserted"}
     assert calls == []
+
+
+def test_a_ratio_near_a_large_integer_reads_no_carrier_points(monkeypatch):
+    e = from_angle("G", 0.5)
+    d = synthesize(0.5, 1.0, as_angle(e)[1] / 10**4, 0.0, 5)  # k = 10**4 > n
+    reads = count_carrier_reads(monkeypatch)
+    out = act_on_discrete(e, d)
+    assert out.meta == {"vertex_correspondence": "not_asserted"}
+    assert reads == []
 
 
 def test_subnormal_theta_transform_is_not_asserted(monkeypatch, capsys):

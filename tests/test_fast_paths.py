@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from discreteconics import group, polygon, verify
+from discreteconics import polygon, verify
 from discreteconics.errors import GeometryError
 from discreteconics.kernel import Line, Point, apply_map, projective_from_correspondences
 from discreteconics.pencil import (
@@ -164,7 +164,7 @@ def test_check_grid_pairs_met_are_linear(monkeypatch):
     pairs met are those given to the batch meet polygon.intersections_xy
     plus any scalar intersect_lines call."""
     counter = {"intersect_lines": 0}
-    for module in (polygon, group):
+    for module in (polygon, verify):  # the modules check_grid runs in
         _count_calls(monkeypatch, module, "intersect_lines", counter)
     real_batch = polygon.intersections_xy
 

@@ -154,10 +154,12 @@ CORRESPONDENCE_CASES = [
 
 @pytest.mark.parametrize("n, theta, k", CORRESPONDENCE_CASES)
 @pytest.mark.parametrize("kind", ["G", "H"])
-def test_correspondence_builds_each_carrier_line_once(n, theta, k, kind, monkeypatch):
-    """The check reads n + k carrier tangents (G) or points (H), and forms the
-    image member's adjugate once (H)."""
-    counts = {"tangent_at": 0, "point_at": 0, "normalized_adjugate": 0}
+def test_correspondence_reads_the_carrier_points_once(n, theta, k, kind, monkeypatch):
+    """The check reads the n + k carrier points in one points_at_xy call, in
+    angle order, forms the tangents (G) or the chords (H) in one batch call,
+    and forms the image member's adjugate once (H) or not at all (G)."""
+    counts = {"tangent_coefficients": 0, "line_coefficients_xy": 0, "normalized_adjugate": 0}
+    reads = []
 
     def counted(module, name):
         real = getattr(module, name)
@@ -168,14 +170,19 @@ def test_correspondence_builds_each_carrier_line_once(n, theta, k, kind, monkeyp
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(group, "tangent_at")
-    counted(group, "point_at")
+    def read(c, alphas):
+        reads.append(list(alphas))
+        return real_points_at_xy(c, alphas)
+
+    counted(group, "tangent_coefficients")
+    counted(group, "line_coefficients_xy")
     counted(pencil, "normalized_adjugate")
+    real_points_at_xy = group.points_at_xy
+    monkeypatch.setattr(group, "points_at_xy", read)
     d = synthesize(0.3, 20.0, theta, 0.3, n)
     assert d.closed == (n == 8)
     out = act_on_discrete(from_angle(kind, k * theta), d)
     assert out.meta == {"vertex_correspondence": "verified", "k": k}
-    if kind == "G":
-        assert counts == {"tangent_at": n + k, "point_at": 0, "normalized_adjugate": 0}
-    else:
-        assert counts == {"tangent_at": 0, "point_at": n + k, "normalized_adjugate": 1}
+    assert reads == [[d.phi + j * d.theta for j in range(n + k)]]
+    g, h = int(kind == "G"), int(kind == "H")
+    assert counts == {"tangent_coefficients": g, "line_coefficients_xy": h, "normalized_adjugate": h}
