@@ -115,6 +115,11 @@ expect 0 "$dc generate --p 0.001 --t 0.0128 --theta 5pi/6 --n 12 --phi -2.322 | 
 large="$dc generate --p 0.75 --t 0.5 --theta 2pi/240 --n 240"
 expect 0 "$large | $dc verify --check pascal_line"
 expect 0 "$large | $dc grid --k 2 | $dc verify"
+# A hyperbola member at n = 960: its vertices and its grid layer each go
+# through one batch Point constructor.
+largest="$dc generate --p 0.5 --t 6 --theta 2pi/960 --n 960"
+expect 0 "$largest | $dc verify"
+expect 0 "$largest | $dc grid --k 2 | $dc verify"
 # A transform angle outside [0, pi): the error names the element and its angle.
 expect 2 "$dc generate --p 0.5 --t 1 --theta 2pi/8 --n 8 | $dc transform --op G --angle 7pi/6"
 grep -q 'G acts at the angle' "$work/stderr" || { echo "FAIL transform did not name G's angle"; status=1; }

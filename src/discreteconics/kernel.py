@@ -54,6 +54,22 @@ class Point:
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
+def points_xy(pairs) -> tuple[Point, ...]:
+    """tuple(starmap(Point, pairs)) for (x, y) float pairs, bit for bit, with
+    Point's ValueError at the first non-finite pair, but without a
+    Point.__init__ per pair: each Point is set field by field, as
+    __post_init__ does."""
+    out = []
+    for x, y in pairs:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        p = object.__new__(Point)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "y", y)
+        out.append(p)
+    return tuple(out)
+
+
 def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
@@ -130,12 +146,22 @@ def line_coefficients_xy(us, vs) -> list[tuple[float, float, float]]:
     (x, y) pair, bit for bit: coefficients_through's float operations in its
     order, then Line's checks, which a normalized c can fail by overflowing.
     Each error is the one a line_through loop raises first, CoincidentPoints
-    naming the two Points."""
+    naming the two Points.  checked_coefficients' arithmetic is inline; a
+    pair that fails one of its checks goes through checked_coefficients."""
     out = []
     for (px, py), (qx, qy) in zip(us, vs):
         if math.hypot(px - qx, py - qy) < DEGENERACY_EPS:
             raise CoincidentPoints(f"points {Point(px, py)} and {Point(qx, qy)} coincide")
-        out.append(checked_coefficients(py - qy, qx - px, px * qy - qx * py))
+        a, b, c = py - qy, qx - px, px * qy - qx * py
+        norm = math.hypot(a, b)
+        if norm >= DEGENERACY_EPS:
+            na, nb, nc = a / norm, b / norm, c / norm
+            # A non-finite a, b or c, given or normalized, makes the sum non-finite.
+            if math.isfinite(na + nb + nc):
+                out.append((-na, -nb, -nc) if na < 0.0 or (na == 0.0 and nb < 0.0)
+                           else (na, nb, nc))
+                continue
+        out.append(checked_coefficients(a, b, c))  # raises this pair's error
     return out
 
 

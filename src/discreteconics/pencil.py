@@ -192,17 +192,28 @@ def focal_parameter(p: float, z: Point) -> float:
 
 def focal_parameters(p: float, points) -> tuple[list[float], list[float]]:
     """parameter_of and focal_parameter of each point, as (ts, alphas), with
-    p checked once and each t computed once.  Every t is computed before any
-    alpha, so a point off every member (OnExcludedLine, NonFiniteParameter)
-    is reported before the focus (t = 0), which lies on no member."""
+    p checked once and each t computed once.  Every t is checked before the
+    focus test, so a point off every member (OnExcludedLine,
+    NonFiniteParameter) is reported before the focus (t = 0), which lies on
+    no member.  _parameter's arithmetic is inline; a point that fails one of
+    its checks goes through _parameter."""
     check_p(p)
-    ts = [_parameter(p, z) for z in points]
-    alphas = []
-    for t, z in zip(ts, points):
-        if t == 0.0:
-            raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
-        beta = math.atan2(z.y, z.x + p)
-        alphas.append(beta + math.pi if 1.0 + p * z.x < 0.0 else beta)
+    ts, alphas = [], []
+    for z in points:
+        x, y = z.x, z.y
+        denom = 1.0 + p * x
+        try:
+            t = ((p + x) ** 2 + y**2) / denom**2 if abs(denom) >= DEGENERACY_EPS else math.nan
+        except OverflowError:
+            t = math.inf
+        if not math.isfinite(t):
+            t = _parameter(p, z)  # raises this point's error
+        ts.append(t)
+        beta = math.atan2(y, x + p)
+        alphas.append(beta + math.pi if denom < 0.0 else beta)
+    if 0.0 in ts:
+        z = points[ts.index(0.0)]
+        raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
     return ts, alphas
 
 

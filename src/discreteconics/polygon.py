@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
 
 from .errors import (AllOppositeSidesParallel, AngleOutOfRange, FormulaPole, GeometryError,
                      NotClosed, OnExcludedLine, ParallelLines)
@@ -29,6 +28,7 @@ from .kernel import (
     intersections_xy,
     line_coefficients,
     normalize_angle,
+    points_xy,
 )
 from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at, points_at_xy
 
@@ -174,7 +174,7 @@ def _check_theta_n(p: float, theta: float, n: int, phi: float) -> None:
 
 def synthesize(p: float, t: float, theta: float, phi: float, n: int) -> DiscreteConic:
     """Vertices at focal angles phi + (j-1)*theta on the (p, t) member."""
-    verts = tuple(starmap(Point, _synthesized_xy(p, t, theta, phi, n)))
+    verts = points_xy(_synthesized_xy(p, t, theta, phi, n))
     return DiscreteConic(float(p), float(t), theta, phi, verts)
 
 
@@ -287,7 +287,7 @@ def grid_layer(d: DiscreteConic, k: int) -> DiscreteConic:
             raise ParallelLines(parallel)
         raise OnExcludedLine(f"side lines {k} apart meet on the excluded line x = {-1.0 / d.p}")
     try:
-        verts = tuple(starmap(Point, intersections_xy(s, s[k:] + s[:k])))
+        verts = points_xy(intersections_xy(s, s[k:] + s[:k]))
     except ParallelLines:
         raise ParallelLines(parallel)
     sec_k = 1.0 / cos_k

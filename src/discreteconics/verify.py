@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
 from .kernel import (
+    DEGENERACY_EPS,
+    TWO_PI,
     Line,
     Point,
     ProjectiveMap,
@@ -24,7 +26,6 @@ from .kernel import (
     intersect_lines,
     line_through,
     map_points_xy,
-    normalize_angle,
     ray_angles,
     reflect_point,
     wrapped_diff,
@@ -90,13 +91,15 @@ _inner_member = DiscreteConic.inner.fget
 
 
 def _parameter_step_residuals(p: float, points, theta: float, closed: bool) -> list[float]:
-    """|focal-parameter step - theta| for consecutive points, wrap-aware."""
+    """|focal-parameter step - theta| for consecutive points, wrap-aware:
+    abs(wrapped_diff(step, theta)), with its arithmetic inline."""
     alphas = focal_parameters(p, points)[1]
-    last = len(alphas) if closed else len(alphas) - 1
-    return [
-        abs(wrapped_diff(alphas[(i + 1) % len(alphas)] - alphas[i], theta))
-        for i in range(last)
-    ]
+    following = alphas[1:] + alphas[:1] if closed else alphas[1:]
+    out = []
+    for a, b in zip(alphas, following):
+        e = (b - a - theta) % TWO_PI
+        out.append(abs(e - TWO_PI if e > math.pi else e))
+    return out
 
 
 def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e-9) -> Report:
@@ -152,10 +155,20 @@ def check_diagonals(d: DiscreteConic, tol: float = 1e-9) -> Report:
         m = tangency_points(d).vertices
         chords = zip(verts, m[h:] + m[:h])
         pairing = "vertex-tangency"
+    fx, fy = f.x, f.y
     residuals = []
     for u, v in chords:  # line_through(u, v).distance_to(f), without the Line
-        a, b, c = coefficients_through(u, v)
-        residuals.append(abs(a * f.x + b * f.y + c))
+        # coefficients_through's arithmetic, inline.  Its sign flip does not
+        # change |a*fx + b*fy + c|; a normalized c that overflows gives inf.
+        px, py, qx, qy = u.x, u.y, v.x, v.y
+        a, b, c = py - qy, qx - px, px * qy - qx * py
+        norm = math.hypot(a, b)
+        if (math.hypot(px - qx, py - qy) >= DEGENERACY_EPS and norm >= DEGENERACY_EPS
+                and math.isfinite(a + b + c)):
+            a, b, c = a / norm, b / norm, c / norm
+        else:  # this chord's error, or a + b + c overflowed
+            a, b, c = coefficients_through(u, v)
+        residuals.append(abs(a * fx + b * fy + c))
     return make_report("diagonals", residuals, tol, pairing=pairing)
 
 
@@ -259,15 +272,17 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     angles = ray_angles((-d.p, 0.0), [k for _, k in indexed])  # at the focus (-p, 0)
     for i1, i2, a1, a2 in zip(index, index[1:], angles, angles[1:]):
         # The points may straddle the focus, so compare the angle step
-        # between the focal *lines* (modulo pi), not the rays.
-        delta = normalize_angle(a2 - a1)
+        # between the focal *lines* (modulo pi), not the rays: the smaller of
+        # |wrapped_diff(delta, expected)| and |wrapped_diff(delta, expected
+        # - pi)|, delta = normalize_angle(a2 - a1), with the arithmetic inline.
+        delta = (a2 - a1) % TWO_PI
+        if delta >= TWO_PI:
+            delta -= TWO_PI
         expected = (i2 - i1) * d.theta
-        residuals.append(
-            min(
-                abs(wrapped_diff(delta, expected)),
-                abs(wrapped_diff(delta, expected - math.pi)),
-            )
-        )
+        e1 = (delta - expected) % TWO_PI
+        e2 = (delta - (expected - math.pi)) % TWO_PI
+        residuals.append(min(abs(e1 - TWO_PI if e1 > math.pi else e1),
+                             abs(e2 - TWO_PI if e2 > math.pi else e2)))
     return make_report("pascal_line", residuals, tol, line_x=-1.0 / d.p, count=len(indexed))
 
 

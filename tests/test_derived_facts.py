@@ -306,6 +306,20 @@ def test_pascal_line_meets_each_opposite_pair_once_and_builds_no_point(monkeypat
     assert points == []
 
 
+@pytest.mark.parametrize("n, w", [(8, 1), (12, 1), (10, 3), (240, 1)])
+def test_pascal_line_builds_no_point_through_the_batch_constructor(monkeypatch, n, w):
+    # points_xy sets each Point's fields without __post_init__, which the
+    # test above counts, so its calls are counted here.
+    d = _polygon(0.75, 0.5, n, w)
+    calls = []
+    for module in (kernel, polygon, verify):
+        if hasattr(module, "points_xy"):
+            _counting(monkeypatch, module, "points_xy", calls)
+    assert polygon.points_xy is not kernel.points_xy or calls == []
+    assert check_pascal_line(d).passed
+    assert calls == []
+
+
 # Largest incidence residual on these cases: 1.2e-15 (5.2e-14 with the
 # n = 240 to 960 cases of test_numpy_free.py).
 INCIDENCE_BOUND = 20 * 5.2e-14
