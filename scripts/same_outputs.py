@@ -209,10 +209,16 @@ def digests(src: Path) -> dict[str, str]:
                     failing_correspondence(f"{key}:G", act_on_discrete, g, cf)
     for j, stages in enumerate(CLI_PIPELINES):
         hashes["cli"].update(f"pipeline {j}\n".encode())
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            text = ""
-            for stage in stages:
-                text = stage(text) if callable(stage) else cli_call(main, stage, text, hashes["cli"])
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)  # contextlib.chdir needs Python 3.11
+            try:
+                text = ""
+                for stage in stages:
+                    text = stage(text) if callable(stage) else cli_call(main, stage, text,
+                                                                         hashes["cli"])
+            finally:
+                os.chdir(cwd)
             for path in sorted(Path(tmp).iterdir()):
                 hashes["cli"].update(f"wrote {path.name}\n".encode() + path.read_bytes())
     return {kind: h.hexdigest() for kind, h in hashes.items()}

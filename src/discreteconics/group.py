@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import AngleOutOfRange, NonpositiveT, ParallelLines
-from .kernel import DEGENERACY_EPS, Line, finite_xy, intersections_xy, line_coefficients_xy
+from .kernel import Line, finite_xy, intersections_xy, line_coefficients_xy
 from .pencil import Circle, points_at_xy, tangency_residuals, tangent_coefficients
 from .polygon import DiscreteConic, synthesize
 
@@ -129,10 +129,9 @@ def correspondence_residuals(d, out, kind, k) -> list[float]:
         tangents = tangent_coefficients(c, xys)
         try:
             zs = intersections_xy(tangents, tangents[k:])
-        except ParallelLines:  # named as Lines, as intersect_lines names them
-            a, b = next((a, b) for a, b in zip(tangents, tangents[k:])
-                        if abs(a[0] * b[1] - b[0] * a[1]) < DEGENERACY_EPS)
-            raise ParallelLines(f"lines {Line(*a)} and {Line(*b)} are parallel") from None
+        except ParallelLines:  # raised again naming Lines, as intersect_lines names them
+            lines = [Line(*abc) for abc in tangents]
+            zs = intersections_xy(lines, lines[k:])
         return [math.hypot(x - v.x, y - v.y) / max(1.0, math.hypot(x, y))
                 for (x, y), v in zip(zs, vs)]
     xys = list(xys)

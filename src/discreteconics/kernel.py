@@ -35,10 +35,21 @@ def normalize_angle(a: float) -> float:
 
 def wrapped_diff(a: float, b: float) -> float:
     """Smallest-magnitude representative of a - b modulo 2*pi, in [-pi, pi]."""
-    d = (a - b) % TWO_PI
-    if d > math.pi:
-        d -= TWO_PI
-    return d
+    return wrapped_diffs((a,), (b,))[0]
+
+
+def wrapped_diffs(xs, ys) -> list[float]:
+    """wrapped_diff(x, y) for each pair of angles."""
+    return [d - TWO_PI if (d := (x - y) % TWO_PI) > math.pi else d for x, y in zip(xs, ys)]
+
+
+def left_sum(values) -> float:
+    """The floats added left to right, as sum() adds them before Python 3.12,
+    whose sum() compensates: the same bits on every Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,11 @@ class Point:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+            raise _non_finite_xy(self.x, self.y)
+
+
+def _non_finite_xy(x: float, y: float) -> ValueError:
+    return ValueError(f"non-finite coordinates ({x}, {y})")
 
 
 def points_xy(pairs) -> tuple[Point, ...]:
@@ -62,7 +77,7 @@ def points_xy(pairs) -> tuple[Point, ...]:
     out = []
     for x, y in pairs:
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
+            raise _non_finite_xy(x, y)
         p = object.__new__(Point)
         object.__setattr__(p, "x", x)
         object.__setattr__(p, "y", y)
@@ -107,9 +122,10 @@ class Line:
         return (-self.b, self.a)
 
 
-def _check_coefficients(a: float, b: float, c: float) -> None:
+def _check_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"non-finite coefficients ({a}, {b}, {c})")
+    return a, b, c
 
 
 def normalized_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -131,9 +147,22 @@ def line_through(p: Point, q: Point) -> Line:
 
 def coefficients_through(p: Point, q: Point) -> tuple[float, float, float]:
     """The normalized coefficients of line_through(p, q), without the Line."""
-    if distance(p, q) < DEGENERACY_EPS:
-        raise CoincidentPoints(f"points {p} and {q} coincide")
-    return normalized_coefficients(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    return next(chords_xy(((p.x, p.y),), ((q.x, q.y),)))
+
+
+def chords_xy(us, vs):
+    """coefficients_through for each pair of points, each an (x, y) pair,
+    lazily: a normalized c may overflow to inf, which Line would reject."""
+    for (px, py), (qx, qy) in zip(us, vs):
+        if math.hypot(px - qx, py - qy) < DEGENERACY_EPS:
+            raise CoincidentPoints(f"points {Point(px, py)} and {Point(qx, qy)} coincide")
+        a, b, c = py - qy, qx - px, px * qy - qx * py
+        norm = math.hypot(a, b)  # the distance checked above
+        # A non-finite a, b or c makes the sum non-finite; so can finite ones.
+        if not math.isfinite(a + b + c):
+            normalized_coefficients(a, b, c)  # raises this pair's error, if it has one
+        a, b, c = a / norm, b / norm, c / norm
+        yield (-a, -b, -c) if a < 0.0 or (a == 0.0 and b < 0.0) else (a, b, c)
 
 
 def line_coefficients(us, vs) -> list[tuple[float, float, float]]:
@@ -142,35 +171,17 @@ def line_coefficients(us, vs) -> list[tuple[float, float, float]]:
 
 
 def line_coefficients_xy(us, vs) -> list[tuple[float, float, float]]:
-    """The (a, b, c) of line_through(u, v) for each pair of points, each an
-    (x, y) pair, bit for bit: coefficients_through's float operations in its
-    order, then Line's checks, which a normalized c can fail by overflowing.
-    Each error is the one a line_through loop raises first, CoincidentPoints
-    naming the two Points.  checked_coefficients' arithmetic is inline; a
-    pair that fails one of its checks goes through checked_coefficients."""
-    out = []
-    for (px, py), (qx, qy) in zip(us, vs):
-        if math.hypot(px - qx, py - qy) < DEGENERACY_EPS:
-            raise CoincidentPoints(f"points {Point(px, py)} and {Point(qx, qy)} coincide")
-        a, b, c = py - qy, qx - px, px * qy - qx * py
-        norm = math.hypot(a, b)
-        if norm >= DEGENERACY_EPS:
-            na, nb, nc = a / norm, b / norm, c / norm
-            # A non-finite a, b or c, given or normalized, makes the sum non-finite.
-            if math.isfinite(na + nb + nc):
-                out.append((-na, -nb, -nc) if na < 0.0 or (na == 0.0 and nb < 0.0)
-                           else (na, nb, nc))
-                continue
-        out.append(checked_coefficients(a, b, c))  # raises this pair's error
-    return out
+    """The (a, b, c) of line_through(u, v) for each pair of (x, y) points:
+    chords_xy with Line's check, which only a normalized c can fail, as |a|
+    and |b| are at most 1.  Each error is a line_through loop's first."""
+    return [abc if math.isfinite(abc[2]) else _check_coefficients(*abc)
+            for abc in chords_xy(us, vs)]
 
 
 def checked_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:
     """The (a, b, c) that Line.from_coefficients(a, b, c) stores, with every
     check it makes, without the Line."""
-    a, b, c = normalized_coefficients(a, b, c)
-    _check_coefficients(a, b, c)  # Line's own check: a normalized c can overflow
-    return a, b, c
+    return _check_coefficients(*normalized_coefficients(a, b, c))  # a normalized c can overflow
 
 
 def finite_xy(xys):
@@ -178,31 +189,25 @@ def finite_xy(xys):
     first non-finite pair raises."""
     for x, y in xys:
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
+            raise _non_finite_xy(x, y)
         yield x, y
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
     """The meeting point of two lines, each a Line or its (a, b, c) tuple."""
-    a1, b1, c1 = l1 if type(l1) is tuple else (l1.a, l1.b, l1.c)
-    a2, b2, c2 = l2 if type(l2) is tuple else (l2.a, l2.b, l2.c)
-    det = a1 * b2 - a2 * b1
-    if abs(det) < DEGENERACY_EPS:
-        raise ParallelLines(f"lines {l1} and {l2} are parallel")
-    x = (b1 * c2 - b2 * c1) / det
-    y = (a2 * c1 - a1 * c2) / det
-    return Point(x, y)
+    return Point(*intersections_xy((l1,), (l2,))[0])
 
 
 def intersections_xy(firsts, seconds, skip_parallel: bool = False) -> list:
-    """intersect_lines of each pair of (a, b, c) tuples as an (x, y) pair,
-    bit for bit, without the Point: its float operations in its order, its
-    ParallelLines and Point's ValueError for a non-finite coordinate, each
-    error at the first pair that fails.  With skip_parallel a parallel pair
-    gives None instead of raising."""
+    """The meeting point of each pair of lines, each a Line or its (a, b, c)
+    tuple, as an (x, y) pair: ParallelLines naming the two lines as given,
+    and a Point's ValueError for a non-finite coordinate, each error at the
+    first pair that fails.  With skip_parallel a parallel pair gives None
+    instead of raising."""
     out = []
     for l1, l2 in zip(firsts, seconds):
-        (a1, b1, c1), (a2, b2, c2) = l1, l2
+        a1, b1, c1 = l1 if type(l1) is tuple else (l1.a, l1.b, l1.c)
+        a2, b2, c2 = l2 if type(l2) is tuple else (l2.a, l2.b, l2.c)
         det = a1 * b2 - a2 * b1
         if abs(det) < DEGENERACY_EPS:
             if skip_parallel:
@@ -212,13 +217,13 @@ def intersections_xy(firsts, seconds, skip_parallel: bool = False) -> list:
         x = (b1 * c2 - b2 * c1) / det
         y = (a2 * c1 - a1 * c2) / det
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
+            raise _non_finite_xy(x, y)
         out.append((x, y))
     return out
 
 
 def _centroid(points: list[Point]) -> tuple[float, float]:
-    return sum(p.x for p in points) / len(points), sum(p.y for p in points) / len(points)
+    return left_sum(p.x for p in points) / len(points), left_sum(p.y for p in points) / len(points)
 
 
 def foot_perpendicular(p: Point, line: Line) -> Point:
@@ -233,15 +238,12 @@ def reflect_point(p: Point, line: Line) -> Point:
 
 def ray_angle(f: Point, a: Point) -> float:
     """Angle of the ray f->a, in [-pi, pi]."""
-    if distance(f, a) < DEGENERACY_EPS:
-        raise DegenerateRay("ray endpoint coincides with the vertex")
-    return math.atan2(a.y - f.y, a.x - f.x)
+    return ray_angles((f.x, f.y), ((a.x, a.y),))[0]
 
 
 def ray_angles(f, xys) -> list[float]:
-    """ray_angle from the vertex f to each endpoint, bit for bit, all of them
-    (x, y) pairs: DegenerateRay at the first endpoint within DEGENERACY_EPS
-    of f."""
+    """ray_angle from the vertex f to each endpoint, all of them (x, y)
+    pairs: DegenerateRay at the first endpoint within DEGENERACY_EPS of f."""
     fx, fy = f
     out = []
     for x, y in xys:
@@ -253,8 +255,8 @@ def ray_angles(f, xys) -> list[float]:
 
 def directed_angle(f: Point, a: Point, b: Point) -> float:
     """Counterclockwise angle from ray f->a to ray f->b, in [0, 2*pi)."""
-    ang_a = ray_angle(f, a)
-    return normalize_angle(ray_angle(f, b) - ang_a)
+    ang_a, ang_b = ray_angles((f.x, f.y), ((a.x, a.y), (b.x, b.y)))
+    return normalize_angle(ang_b - ang_a)
 
 
 def _triangle_area_residual(a: Point, b: Point, c: Point) -> float:
@@ -283,7 +285,7 @@ class ProjectiveMap:
             raise DegenerateConfiguration("zero projective map")
         m = tuple(tuple(v / norm for v in row) for row in rows)
         adj = _adjugate3(m)
-        if abs(sum(m[0][k] * adj[k][0] for k in range(3))) < DEGENERACY_EPS:
+        if abs(left_sum(m[0][k] * adj[k][0] for k in range(3))) < DEGENERACY_EPS:
             raise DegenerateConfiguration("singular projective map")
         object.__setattr__(self, "m", m)
 
@@ -300,7 +302,7 @@ def _adjugate3(m) -> tuple[tuple[float, float, float], ...]:
 
 def _matmul3(x, y) -> tuple[tuple[float, float, float], ...]:
     cols = tuple(zip(*y))
-    return tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in cols) for row in x)
+    return tuple(tuple(left_sum(u * v for u, v in zip(row, col)) for col in cols) for row in x)
 
 
 def _any_three_collinear(points: list[Point]) -> bool:
@@ -316,7 +318,7 @@ def _hartley(points: list[Point]) -> tuple[list[tuple[float, float]], float, flo
     """The points moved so that their centroid (cx, cy) is the origin and
     their mean distance from it is sqrt(2): s * (p - c), with the scale s."""
     cx, cy = _centroid(points)
-    s = math.sqrt(2.0) * len(points) / sum(math.hypot(p.x - cx, p.y - cy) for p in points)
+    s = math.sqrt(2.0) * len(points) / left_sum(math.hypot(p.x - cx, p.y - cy) for p in points)
     return [(s * (p.x - cx), s * (p.y - cy)) for p in points], s, cx, cy
 
 

@@ -7,12 +7,13 @@ The canonical parametrization is the focal polar form
     r(alpha) = sqrt(t) * (1 - p^2) / (1 - sqrt(t) * p * cos(alpha)),
 
 measured from F; r may be negative on the far branch of a hyperbola member.
-focal_radius evaluates it at one angle; focal_radii at many, with the same
-float operations and the member's constants formed once, and points_at_xy
-gives the points at many angles as coordinate pairs.  The pencil equation
+focal_radii evaluates it at many angles, with the member's constants formed
+once, and points_at_xy gives the points there as coordinate pairs;
+focal_radius and point_at call them with one angle.  The pencil equation
 makes r = sqrt(t) * (1 + p*x), so the angle of a point at F, its signed focal
 parameter alpha (point_at(member, alpha) is the point), is the ray angle plus
-pi where 1 + p*x < 0.  focal_parameters is the one place that computes it.
+pi where 1 + p*x < 0.  _parameters is the one loop that computes it, with
+each point's t; focal_parameters and _parameter read it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .errors import (
     OnExcludedLine,
     ParabolaMember,
 )
-from .kernel import DEGENERACY_EPS, Line, Point, _adjugate3, _centroid, checked_coefficients
+from .kernel import (DEGENERACY_EPS, Line, Point, _adjugate3, _centroid, checked_coefficients,
+                     left_sum)
 
 # Half-width of the |eccentricity| = 1 band treated as a parabola.
 _CLASSIFY_EPS = 1e-12
@@ -55,11 +57,7 @@ class QuadraticForm:
         """|value| normalized by the size of the evaluated terms."""
         x, y = p.x, p.y
         terms = (self.A * x * x, self.B * x * y, self.C * y * y, self.D * x, self.E * y, self.G)
-        value = scale = 0.0
-        for term in terms:  # left to right, as the formula reads; sum() may compensate
-            value += term
-            scale += abs(term)
-        return abs(value) / max(scale, 1.0)
+        return abs(left_sum(terms)) / max(left_sum(map(abs, terms)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,30 +116,29 @@ def classify(c: FocalConic) -> str:
 
 def focal_radius(c: FocalConic, alpha: float) -> float:
     """Signed distance from the focus along direction alpha."""
-    rt = math.sqrt(c.t)
-    denom = 1.0 - rt * c.p * math.cos(alpha)
-    if abs(denom) < DEGENERACY_EPS:
-        raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
-    return rt * (1.0 - c.p * c.p) / denom
+    return next(focal_radii(c, (alpha,)))
 
 
 def focal_radii(c: FocalConic, alphas):
-    """focal_radius at each angle, bit for bit: its float operations in its
-    order, with sqrt(t), sqrt(t)*p and sqrt(t)*(1 - p^2) formed once.  Lazy,
-    so a caller building a point per radius meets all errors in angle order."""
+    """focal_radius at each angle: the focal polar form, with sqrt(t),
+    sqrt(t)*p and sqrt(t)*(1 - p^2) formed once.  Lazy, so a caller building
+    a point per radius meets all errors in angle order."""
     rt = math.sqrt(c.t)
     rtp = rt * c.p
     num = rt * (1.0 - c.p * c.p)
     for alpha in alphas:
         denom = 1.0 - rtp * math.cos(alpha)
         if abs(denom) < DEGENERACY_EPS:
-            raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+            raise _asymptotic(alpha)
         yield num / denom
 
 
+def _asymptotic(alpha: float) -> AsymptoticDirection:
+    return AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+
+
 def point_at(c: FocalConic, alpha: float) -> Point:
-    r = focal_radius(c, alpha)
-    return Point(-c.p + r * math.cos(alpha), r * math.sin(alpha))
+    return Point(*next(points_at_xy(c, (alpha,))))
 
 
 def points_at_xy(c: FocalConic, alphas):
@@ -156,7 +153,7 @@ def points_at_xy(c: FocalConic, alphas):
         cos_a = math.cos(alpha)
         denom = 1.0 - rtp * cos_a
         if abs(denom) < DEGENERACY_EPS:
-            raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+            raise _asymptotic(alpha)
         r = num / denom
         yield -c.p + r * cos_a, r * math.sin(alpha)
 
@@ -168,17 +165,29 @@ def parameter_of(p: float, x: Point) -> float:
 
 
 def _parameter(p: float, x: Point) -> float:
-    """parameter_of for a p that check_p has passed."""
-    denom = 1.0 + p * x.x
-    if abs(denom) < DEGENERACY_EPS:
-        raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
-    try:
-        t = ((p + x.x) ** 2 + x.y**2) / denom**2
-    except OverflowError:
-        t = math.inf
-    if not math.isfinite(t):
-        raise NonFiniteParameter(f"the member through {x} has t = {t}, beyond float range")
-    return t
+    """parameter_of for a p that check_p has passed; 0.0 at the focus."""
+    return _parameters(p, (x,))[0][0]
+
+
+def _parameters(p: float, points) -> tuple[list[float], list[float]]:
+    """(ts, alphas): each point's t and focal parameter, for a p that check_p
+    has passed; the focus gives t = 0.0."""
+    ts, alphas = [], []
+    for z in points:
+        x, y = z.x, z.y
+        denom = 1.0 + p * x
+        if abs(denom) < DEGENERACY_EPS:
+            raise OnExcludedLine(f"{z} lies on the excluded line x = {-1.0 / p}")
+        try:
+            t = ((p + x) ** 2 + y**2) / denom**2
+        except OverflowError:
+            t = math.inf
+        if not math.isfinite(t):
+            raise NonFiniteParameter(f"the member through {z} has t = {t}, beyond float range")
+        ts.append(t)
+        beta = math.atan2(y, x + p)
+        alphas.append(beta + math.pi if denom < 0.0 else beta)
+    return ts, alphas
 
 
 def focal_parameter(p: float, z: Point) -> float:
@@ -192,25 +201,12 @@ def focal_parameter(p: float, z: Point) -> float:
 
 def focal_parameters(p: float, points) -> tuple[list[float], list[float]]:
     """parameter_of and focal_parameter of each point, as (ts, alphas), with
-    p checked once and each t computed once.  Every t is checked before the
-    focus test, so a point off every member (OnExcludedLine,
+    p checked once: _parameters, then the focus rule.  Every t is checked
+    before the focus test, so a point off every member (OnExcludedLine,
     NonFiniteParameter) is reported before the focus (t = 0), which lies on
-    no member.  _parameter's arithmetic is inline; a point that fails one of
-    its checks goes through _parameter."""
+    no member."""
     check_p(p)
-    ts, alphas = [], []
-    for z in points:
-        x, y = z.x, z.y
-        denom = 1.0 + p * x
-        try:
-            t = ((p + x) ** 2 + y**2) / denom**2 if abs(denom) >= DEGENERACY_EPS else math.nan
-        except OverflowError:
-            t = math.inf
-        if not math.isfinite(t):
-            t = _parameter(p, z)  # raises this point's error
-        ts.append(t)
-        beta = math.atan2(y, x + p)
-        alphas.append(beta + math.pi if denom < 0.0 else beta)
+    ts, alphas = _parameters(p, points)
     if 0.0 in ts:
         z = points[ts.index(0.0)]
         raise NonpositiveT(f"{z} is the focus, which lies on no member (t = 0)")
@@ -301,13 +297,13 @@ def fit_circle(points: list[Point]) -> Circle:
         raise ValueError("need at least three points to fit a circle")
     mx, my = _centroid(points)
     rows = [(p.x - mx, p.y - my, 1.0) for p in points]
-    ata = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
-    atb = [-sum(r[i] * (r[0] * r[0] + r[1] * r[1]) for r in rows) for i in range(3)]
+    ata = [[left_sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    atb = [-left_sum(r[i] * (r[0] * r[0] + r[1] * r[1]) for r in rows) for i in range(3)]
     adj = _adjugate3(ata)
-    det = sum(ata[0][k] * adj[k][0] for k in range(3))
+    det = left_sum(ata[0][k] * adj[k][0] for k in range(3))
     if det == 0.0:
         raise ValueError("degenerate circle fit")
-    d, e, g = (sum(a * b for a, b in zip(row, atb)) / det for row in adj)
+    d, e, g = (left_sum(a * b for a, b in zip(row, atb)) / det for row in adj)
     cx, cy = -d / 2.0, -e / 2.0
     r2 = cx * cx + cy * cy - g
     if r2 <= 0.0:

@@ -13,22 +13,22 @@ from dataclasses import dataclass, field
 
 from .errors import AllOppositeSidesParallel, NotClosed, ParallelLines
 from .kernel import (
-    DEGENERACY_EPS,
-    TWO_PI,
     Line,
     Point,
     ProjectiveMap,
     _triangle_area_residual,
-    coefficients_through,
+    chords_xy,
     directed_angle,
     distance,
     foot_perpendicular,
     intersect_lines,
     line_through,
     map_points_xy,
+    normalize_angle,
     ray_angles,
     reflect_point,
     wrapped_diff,
+    wrapped_diffs,
 )
 from .pencil import (
     classify,
@@ -92,14 +92,11 @@ _inner_member = DiscreteConic.inner.fget
 
 def _parameter_step_residuals(p: float, points, theta: float, closed: bool) -> list[float]:
     """|focal-parameter step - theta| for consecutive points, wrap-aware:
-    abs(wrapped_diff(step, theta)), with its arithmetic inline."""
+    abs(wrapped_diff(step, theta))."""
     alphas = focal_parameters(p, points)[1]
     following = alphas[1:] + alphas[:1] if closed else alphas[1:]
-    out = []
-    for a, b in zip(alphas, following):
-        e = (b - a - theta) % TWO_PI
-        out.append(abs(e - TWO_PI if e > math.pi else e))
-    return out
+    steps = [b - a for a, b in zip(alphas, following)]
+    return [abs(e) for e in wrapped_diffs(steps, [theta] * len(steps))]
 
 
 def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e-9) -> Report:
@@ -149,26 +146,16 @@ def check_diagonals(d: DiscreteConic, tol: float = 1e-9) -> Report:
     f = d.focus
     verts, h = d.vertices, d.n // 2
     if d.n % 2 == 0:
-        chords = zip(verts[:h], verts[h:])
+        us, vs = verts[:h], verts[h:]
         pairing = "vertex-vertex"
     else:  # V_j with M_{j + h}, h = (n - 1)/2
         m = tangency_points(d).vertices
-        chords = zip(verts, m[h:] + m[:h])
+        us, vs = verts, m[h:] + m[:h]
         pairing = "vertex-tangency"
+    # line_through(u, v).distance_to(f) without the Line; an overflowing c gives inf.
+    chords = chords_xy([(u.x, u.y) for u in us], [(v.x, v.y) for v in vs])
     fx, fy = f.x, f.y
-    residuals = []
-    for u, v in chords:  # line_through(u, v).distance_to(f), without the Line
-        # coefficients_through's arithmetic, inline.  Its sign flip does not
-        # change |a*fx + b*fy + c|; a normalized c that overflows gives inf.
-        px, py, qx, qy = u.x, u.y, v.x, v.y
-        a, b, c = py - qy, qx - px, px * qy - qx * py
-        norm = math.hypot(a, b)
-        if (math.hypot(px - qx, py - qy) >= DEGENERACY_EPS and norm >= DEGENERACY_EPS
-                and math.isfinite(a + b + c)):
-            a, b, c = a / norm, b / norm, c / norm
-        else:  # this chord's error, or a + b + c overflowed
-            a, b, c = coefficients_through(u, v)
-        residuals.append(abs(a * fx + b * fy + c))
+    residuals = [abs(a * fx + b * fy + c) for a, b, c in chords]
     return make_report("diagonals", residuals, tol, pairing=pairing)
 
 
@@ -270,19 +257,14 @@ def check_pascal_line(d: DiscreteConic, tol: float = DEFAULT_TOL) -> Report:
     index = [i for i, _ in indexed]
     residuals = _directrix_incidences(d.p, [s[i - 1] for i in index], [s[i - 1 + m] for i in index])
     angles = ray_angles((-d.p, 0.0), [k for _, k in indexed])  # at the focus (-p, 0)
-    for i1, i2, a1, a2 in zip(index, index[1:], angles, angles[1:]):
-        # The points may straddle the focus, so compare the angle step
-        # between the focal *lines* (modulo pi), not the rays: the smaller of
-        # |wrapped_diff(delta, expected)| and |wrapped_diff(delta, expected
-        # - pi)|, delta = normalize_angle(a2 - a1), with the arithmetic inline.
-        delta = (a2 - a1) % TWO_PI
-        if delta >= TWO_PI:
-            delta -= TWO_PI
-        expected = (i2 - i1) * d.theta
-        e1 = (delta - expected) % TWO_PI
-        e2 = (delta - (expected - math.pi)) % TWO_PI
-        residuals.append(min(abs(e1 - TWO_PI if e1 > math.pi else e1),
-                             abs(e2 - TWO_PI if e2 > math.pi else e2)))
+    # The points may straddle the focus, so compare the angle step between
+    # the focal *lines* (modulo pi), not the rays: the smaller of
+    # |wrapped_diff(delta, expected)| and |wrapped_diff(delta, expected - pi)|.
+    deltas = [normalize_angle(a2 - a1) for a1, a2 in zip(angles, angles[1:])]
+    expected = [(i2 - i1) * d.theta for i1, i2 in zip(index, index[1:])]
+    e1 = wrapped_diffs(deltas, expected)
+    e2 = wrapped_diffs(deltas, [e - math.pi for e in expected])
+    residuals += [min(abs(u), abs(v)) for u, v in zip(e1, e2)]
     return make_report("pascal_line", residuals, tol, line_x=-1.0 / d.p, count=len(indexed))
 
 

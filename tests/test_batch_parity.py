@@ -28,6 +28,7 @@ from discreteconics.errors import (AllOppositeSidesParallel, CoincidentPoints, D
                                    ParallelLines, PointAtInfinity)
 from discreteconics.kernel import (
     DEGENERACY_EPS,
+    Line,
     Point,
     ProjectiveMap,
     directed_angle,
@@ -107,6 +108,17 @@ def reference_ray_angle(f, a):
     if math.hypot(f.x - a.x, f.y - a.y) < DEGENERACY_EPS:
         raise DegenerateRay("ray endpoint coincides with the vertex")
     return math.atan2(a.y - f.y, a.x - f.x)
+
+
+def reference_intersect_lines(l1, l2):
+    """intersect_lines as it was written before intersections_xy took Lines."""
+    a1, b1, c1 = l1 if type(l1) is tuple else (l1.a, l1.b, l1.c)
+    a2, b2, c2 = l2 if type(l2) is tuple else (l2.a, l2.b, l2.c)
+    det = a1 * b2 - a2 * b1
+    if abs(det) < DEGENERACY_EPS:
+        raise ParallelLines(f"lines {l1} and {l2} are parallel")
+    z = Point((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
+    return (z.x, z.y)
 
 
 def reference_map_xy(m, x, y):
@@ -310,6 +322,48 @@ def test_intersections_xy_are_intersect_lines(args, data):
         assert [bits((z.x, z.y)) for z in layer.vertices] == [bits((z.x, z.y)) for z in ref]
     elif ref_error is not None and error[0] is ParallelLines:
         assert error == ref_error
+
+
+@SETTINGS
+@given(args=POLYGONS, data=st.data())
+def test_intersections_xy_on_lines_are_intersect_lines(args, data):
+    d = _synthesized(args)
+    if d is None or not d.closed:
+        return
+    k = data.draw(st.integers(1, d.n - 2))
+    lines = list(d.sides)
+    pairs = list(zip(lines, lines[k:] + lines[:k]))
+    i = data.draw(st.integers(0, len(pairs)))
+    a, b, c = d.side_coefficients[i % d.n]
+    pairs.insert(i, data.draw(st.sampled_from([
+        None,
+        (Line(a, b, c), Line(a, b, c + 1.0)),  # ParallelLines, named as Lines
+        (Line(1.0, 0.0, -1e300), (1.0, 1e-11, 0.0)),  # y = -1e311, a Line with a tuple
+    ])))
+    pairs = [pair for pair in pairs if pair is not None]
+
+    def scalar(pair):
+        z = intersect_lines(*pair)
+        return (z.x, z.y)
+
+    def batch(items):
+        return intersections_xy([l1 for l1, _ in items], [l2 for _, l2 in items])
+
+    want = scalar_outcome(lambda pair: reference_intersect_lines(*pair), pairs)
+    same_outcome(batch_outcome(batch, pairs), want)
+    same_outcome(scalar_outcome(scalar, pairs), want)
+    if want[1] is not None and want[1][0] is ParallelLines:
+        assert want[1][1].startswith("lines Line(a=")
+
+
+def test_a_parallel_pair_is_named_as_each_line_was_given():
+    l1, l2 = Line(1.0, 0.0, 0.5), Line(1.0, 0.0, -0.5)
+    for pair in ((l1, l2), ((1.0, 0.0, 0.5), l2), (l1, (1.0, 0.0, -0.5))):
+        want = (ParallelLines, f"lines {pair[0]} and {pair[1]} are parallel")
+        assert call_outcome(intersections_xy, [pair[0]], [pair[1]])[1] == want
+        assert call_outcome(intersect_lines, *pair)[1] == want
+        assert call_outcome(reference_intersect_lines, *pair)[1] == want
+    assert intersections_xy([l1], [l2], skip_parallel=True) == [None]
 
 
 @SETTINGS

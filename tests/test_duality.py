@@ -20,7 +20,7 @@ from discreteconics.errors import (
     FocusOutsideDual,
     LineThroughCenter,
 )
-from discreteconics.kernel import Line, Point, distance
+from discreteconics.kernel import Line, Point, distance, left_sum
 from discreteconics.pencil import Circle, pencil_member
 
 ORIGIN = Reciprocator(Point(0, 0), 1.0)
@@ -151,3 +151,13 @@ def test_dual_fits_once(monkeypatch, p, t, inside):
         with pytest.raises(FocusOutsideDual):
             dual_conic(Reciprocator(c.focus, 1.0), c)
     assert len(calls) == 1
+
+
+def test_dual_circle_has_the_same_bits_on_every_python_version():
+    # The fit adds its sums left to right; from Python 3.12 sum() compensates,
+    # which moved the last bit of this circle's center and radius.
+    c = pencil_member(0.5, 0.7)
+    assert repr(dual_conic(Reciprocator(c.focus), c)) == (
+        "Circle(center=Point(x=-1.1666666666666665, y=-1.2750217548429532e-16), "
+        "radius=1.5936381457791917)")
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0  # sum() gives 1.0 from Python 3.12

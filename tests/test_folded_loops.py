@@ -1,15 +1,15 @@
-"""The batch loops with their helpers' arithmetic inline, against the helper
+"""The batch loops that carry their helpers' formulas, against the helper
 calls they replaced, bit for bit and error for error.
 
 focal_parameters no longer calls _parameter per point, line_coefficients_xy
 no longer calls checked_coefficients per pair, check_diagonals no longer
 calls coefficients_through per chord, and the equal_angles and pascal_line
-steps no longer call wrapped_diff or normalize_angle.  An element that fails
-a fast-path test goes through the helper, so every error keeps its type,
-its message and its index.  Each oracle below is the helper-call loop as it
-was written before the fold.  Polygons are drawn from the benchmark's sweep
-and large_n pencils (test_batch_parity.py), and one bad element is put in
-at a drawn index.
+steps read wrapped_diffs.  Each batch raises its own errors, so every error
+keeps its type, its message and its index, and each scalar is now a batch
+of one (chords_xy, wrapped_diffs).  Each oracle below is the helper-call
+loop, or the helper, as it was written before the fold.  Polygons are
+drawn from the benchmark's sweep and large_n pencils (test_batch_parity.py),
+and one bad element is put in at a drawn index.
 """
 
 import math
@@ -18,14 +18,16 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_batch_parity import POLYGONS, SETTINGS, TOP, _synthesized, bits, call_outcome
+from test_batch_parity import (POLYGONS, SETTINGS, TOP, _synthesized, batch_outcome, bits,
+                               call_outcome, same_outcome, scalar_outcome)
 
 from discreteconics import verify
 from discreteconics.errors import (CoincidentPoints, DegenerateConfiguration, NonFiniteParameter,
                                    NonpositiveT, OnExcludedLine)
-from discreteconics.kernel import (DEGENERACY_EPS, Point, checked_coefficients,
-                                   coefficients_through, line_coefficients_xy, line_through,
-                                   normalize_angle, wrapped_diff)
+from discreteconics.kernel import (DEGENERACY_EPS, TWO_PI, Point, checked_coefficients, chords_xy,
+                                   coefficients_through, distance, line_coefficients_xy,
+                                   line_through, normalize_angle, normalized_coefficients,
+                                   wrapped_diff, wrapped_diffs)
 from discreteconics.pencil import _parameter, check_p, focal_parameters
 from discreteconics.polygon import DiscreteConic
 from discreteconics.verify import (_parameter_step_residuals, check_diagonals,
@@ -57,6 +59,21 @@ def reference_line_coefficients_xy(us, vs):
             raise CoincidentPoints(f"points {Point(px, py)} and {Point(qx, qy)} coincide")
         out.append(checked_coefficients(py - qy, qx - px, px * qy - qx * py))
     return out
+
+
+def reference_coefficients_through(p, q):
+    """coefficients_through as it was written before chords_xy."""
+    if distance(p, q) < DEGENERACY_EPS:
+        raise CoincidentPoints(f"points {p} and {q} coincide")
+    return normalized_coefficients(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+
+
+def reference_wrapped_diff(a, b):
+    """wrapped_diff as it was written before wrapped_diffs."""
+    d = (a - b) % TWO_PI
+    if d > math.pi:
+        d -= TWO_PI
+    return d
 
 
 def reference_diagonals(d):
@@ -212,6 +229,43 @@ def test_a_pair_at_the_degeneracy_threshold_is_the_scalar_pair(u, r, a):
 
 
 # ---------------------------------------------------------------------------
+# chords_xy, the chord batch that coefficients_through and check_diagonals read
+
+
+@SETTINGS
+@given(data=st.data())
+def test_chords_xy_are_coefficients_through(data):
+    _, points = _vertices(data)
+    k = data.draw(st.integers(1, len(points) - 1))
+    pairs = list(zip(points, points[k:] + points[:k]))
+    i = data.draw(st.integers(0, len(pairs)))
+    u = points[i % len(points)]
+    pairs.insert(i, data.draw(st.sampled_from([
+        None,
+        (u, u),  # CoincidentPoints
+        (Point(1e200, 1e200), Point(-1e200, 1e200)),  # non-finite raw coefficients
+        (Point(TOP, 0.3), Point(TOP, 0.4)),  # the normalized c overflows to inf: no error
+        (Point(0.0, 1e308), Point(-1.5, -0.5e308)),  # a + b + c overflows, each finite
+    ])))
+    pairs = [pair for pair in pairs if pair is not None]
+
+    def batch(items):
+        return list(chords_xy([(p.x, p.y) for p, _ in items], [(q.x, q.y) for _, q in items]))
+
+    want = scalar_outcome(lambda pair: reference_coefficients_through(*pair), pairs)
+    same_outcome(batch_outcome(batch, pairs), want)
+    same_outcome(scalar_outcome(lambda pair: coefficients_through(*pair), pairs), want)
+
+
+def test_the_chord_batch_keeps_an_overflowing_c_and_an_overflowing_sum():
+    for p, q, overflows in ((Point(TOP, 0.3), Point(TOP, 0.4), True),
+                            (Point(0.0, 1e308), Point(-1.5, -0.5e308), False)):
+        got = next(chords_xy([(p.x, p.y)], [(q.x, q.y)]))
+        assert bits(got) == bits(reference_coefficients_through(p, q))
+        assert math.isinf(got[2]) is overflows
+
+
+# ---------------------------------------------------------------------------
 # check_diagonals
 
 
@@ -302,6 +356,17 @@ def test_parameter_steps_are_wrapped_diff_on_edge_angles(alphas, closed):
     with patch.object(verify, "focal_parameters", lambda p, points: (None, list(alphas))):
         got = _parameter_step_residuals(0.5, [None] * len(alphas), theta, closed)
     assert bits(tuple(got)) == bits(tuple(reference_steps(alphas, theta, closed)))
+
+
+@SETTINGS
+@given(xs=EDGE_ANGLES, ys=EDGE_ANGLES)
+def test_wrapped_diffs_are_wrapped_diff_on_edge_angles(xs, ys):
+    want = [bits(reference_wrapped_diff(x, y)) for x, y in zip(xs, ys)]
+    assert [bits(e) for e in wrapped_diffs(xs, ys)] == want
+    assert [bits(wrapped_diff(x, y)) for x, y in zip(xs, ys)] == want
+    steps = [y - x for x, y in zip(xs, xs[1:])]  # the steps _parameter_step_residuals wraps
+    assert [bits(e) for e in wrapped_diffs(steps, [2.0 * math.pi / 7] * len(steps))] == [
+        bits(reference_wrapped_diff(s, 2.0 * math.pi / 7)) for s in steps]
 
 
 @SETTINGS

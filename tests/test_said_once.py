@@ -9,15 +9,20 @@
   each, and skips a tangent through the focus without a nearby retry.
 - from_angle names the element and the angle it acts at, and checks the
   element first.
+- The error texts that the batch kernels and their one-element scalars
+  share are each written once in the library's source.
 """
 
 import io
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import discreteconics
 from discreteconics import duality
 from discreteconics.cli import main
 from discreteconics.duality import Reciprocator, dual_conic
@@ -166,3 +171,23 @@ def test_from_angle_checks_the_element_before_the_angle():
         from_angle("H", -0.1)
     with pytest.raises(ValueError, match="kind must be 'G' or 'H', got 'X'"):
         from_angle("X", 5.0)
+
+
+# ---------------------------------------------------------------------------
+# Each shared error text is written once
+
+SHARED_ERROR_TEXTS = {
+    "Point's non-finite ValueError": r"non-finite coordinates \(",
+    "AsymptoticDirection": r"is an asymptotic direction",
+    "ParallelLines naming two lines": r"lines \{[^}]*\} and \{[^}]*\} are parallel",
+    "DegenerateRay": r"ray endpoint coincides with the vertex",
+}
+
+
+@pytest.mark.parametrize("error", sorted(SHARED_ERROR_TEXTS))
+def test_each_shared_error_text_is_written_once(error):
+    sources = Path(discreteconics.__file__).parent.glob("*.py")
+    places = [(path.name, line) for path in sorted(sources)
+              for line in path.read_text().splitlines()
+              if re.search(SHARED_ERROR_TEXTS[error], line)]
+    assert len(places) == 1, places
