@@ -129,7 +129,9 @@ def correspondence_residuals(d, out, kind, k) -> list[float]:
         tangents = tangent_coefficients(c, xys)
         try:
             zs = intersections_xy(tangents, tangents[k:])
-        except ParallelLines:  # raised again naming Lines, as intersect_lines names them
+        except ParallelLines:
+            zs = None
+        if zs is None:  # raised again, with no chain, naming Lines as intersect_lines names them
             lines = [Line(*abc) for abc in tangents]
             zs = intersections_xy(lines, lines[k:])
         return [math.hypot(x - v.x, y - v.y) / max(1.0, math.hypot(x, y))

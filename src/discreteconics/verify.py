@@ -18,7 +18,6 @@ from .kernel import (
     ProjectiveMap,
     _triangle_area_residual,
     chords_xy,
-    directed_angle,
     distance,
     foot_perpendicular,
     intersect_lines,
@@ -107,10 +106,10 @@ def check_equal_angles(d: DiscreteConic, f: Point | None = None, tol: float = 1e
     if f == d.focus:
         residuals = _parameter_step_residuals(d.p, d.vertices, d.theta, closed=d.closed)
     else:
-        residuals = [
-            abs(wrapped_diff(directed_angle(f, d.vertex(i), d.vertex(i + 1)), d.theta))
-            for i in range(1, d.num_sides + 1)
-        ]
+        ends = [d.vertex(i) for i in range(1, d.num_sides + 2)]  # each ray angle once
+        angles = ray_angles((f.x, f.y), [(v.x, v.y) for v in ends])
+        steps = [normalize_angle(b - a) for a, b in zip(angles, angles[1:])]  # directed_angle
+        residuals = [abs(e) for e in wrapped_diffs(steps, [d.theta] * len(steps))]
     return make_report("equal_angles", residuals, tol, focus=[f.x, f.y], theta=d.theta)
 
 

@@ -6,7 +6,10 @@ seven angles) checks p once and computes each t once; coefficients_through
 (behind check_diagonals) gives line_through's coefficients without the Line.
 Every output must equal the scalar path's to the last bit, and every error
 must have the scalar path's type at the scalar path's first index.  The
-oracles below are the scalar code the batched paths replaced.
+oracles below are the scalar code the batched paths replaced.  focal_radius,
+point_at and parameter_of now call focal_radii, points_at_xy and
+_parameters with one element; test_folded_loops.py holds both forms to
+frozen copies of the scalars' earlier bodies.
 """
 
 import math

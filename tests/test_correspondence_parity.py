@@ -170,6 +170,16 @@ def test_crafted_inputs_raise_the_line_route_error(polygon, kinds, k, error, sta
         assert got[1][0] is error and got[1][1].startswith(start)
 
 
+def test_the_line_named_parallel_lines_is_raised_without_a_chain():
+    # As the route through intersect_lines raises it: one exception, so a
+    # traceback shows no "During handling of the above exception".
+    polygon = CRAFTED[-1][1]
+    with pytest.raises(ParallelLines, match=r"^lines Line\(a=") as got:
+        correspondence_residuals(polygon, polygon, "G", 2)
+    assert got.value.__cause__ is None
+    assert got.value.__context__ is None or got.value.__suppress_context__
+
+
 def test_the_first_failing_angle_is_named():
     # The asymptotic angle is the third of eight; the carrier points before
     # it are read, and the message names it.

@@ -1,15 +1,20 @@
 """The batch loops that carry their helpers' formulas, against the helper
 calls they replaced, bit for bit and error for error.
 
-focal_parameters no longer calls _parameter per point, line_coefficients_xy
-no longer calls checked_coefficients per pair, check_diagonals no longer
-calls coefficients_through per chord, and the equal_angles and pascal_line
-steps read wrapped_diffs.  Each batch raises its own errors, so every error
-keeps its type, its message and its index, and each scalar is now a batch
-of one (chords_xy, wrapped_diffs).  Each oracle below is the helper-call
-loop, or the helper, as it was written before the fold.  Polygons are
-drawn from the benchmark's sweep and large_n pencils (test_batch_parity.py),
-and one bad element is put in at a drawn index.
+focal_parameters reads _parameters, line_coefficients_xy and check_diagonals
+read chords_xy, and the equal_angles and pascal_line steps read
+wrapped_diffs.  Each batch raises its own errors, so every error keeps its
+type, its message and its index.  The scalars coefficients_through,
+wrapped_diff, ray_angle, focal_radius, point_at and _parameter are now
+batches of one.  The oracles named "as written before" are frozen copies
+of those scalars' pre-fold bodies, and each batch and its scalar are
+checked against them.  The helper-call loops (reference_focal_parameters,
+reference_diagonals, reference_steps, reference_pascal_steps) call today's
+scalars, so they route through the batches; reference_focal_parameters is
+also run on the frozen _parameter.  Polygons are drawn from the
+benchmark's sweep and large_n pencils (test_batch_parity.py), and from
+test_batched_kernels.py's members, and one bad element is put in at a drawn
+index.
 """
 
 import math
@@ -19,17 +24,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_batch_parity import (POLYGONS, SETTINGS, TOP, _synthesized, batch_outcome, bits,
-                               call_outcome, same_outcome, scalar_outcome)
+                               call_outcome, reference_ray_angle, same_outcome, scalar_outcome)
+from test_batched_kernels import MEMBER_PARAMS
 
 from discreteconics import verify
-from discreteconics.errors import (CoincidentPoints, DegenerateConfiguration, NonFiniteParameter,
-                                   NonpositiveT, OnExcludedLine)
+from discreteconics.errors import (AsymptoticDirection, CoincidentPoints, DegenerateConfiguration,
+                                   DegenerateRay, NonFiniteParameter, NonpositiveT,
+                                   OnExcludedLine)
 from discreteconics.kernel import (DEGENERACY_EPS, TWO_PI, Point, checked_coefficients, chords_xy,
                                    coefficients_through, distance, line_coefficients_xy,
                                    line_through, normalize_angle, normalized_coefficients,
                                    wrapped_diff, wrapped_diffs)
-from discreteconics.pencil import _parameter, check_p, focal_parameters
-from discreteconics.polygon import DiscreteConic
+from discreteconics.pencil import (_parameter, _parameters, check_p, focal_parameters,
+                                   focal_radii, focal_radius, parameter_of, pencil_member,
+                                   point_at, points_at_xy)
+from discreteconics.polygon import DiscreteConic, synthesize
 from discreteconics.verify import (_parameter_step_residuals, check_diagonals,
                                    check_equal_angles, check_pascal_line)
 
@@ -74,6 +83,48 @@ def reference_wrapped_diff(a, b):
     if d > math.pi:
         d -= TWO_PI
     return d
+
+
+def reference_focal_radius(c, alpha):
+    """focal_radius as it was written before focal_radii carried it."""
+    rt = math.sqrt(c.t)
+    denom = 1.0 - rt * c.p * math.cos(alpha)
+    if abs(denom) < DEGENERACY_EPS:
+        raise AsymptoticDirection(f"alpha = {alpha} is an asymptotic direction")
+    return rt * (1.0 - c.p * c.p) / denom
+
+
+def reference_point_at(c, alpha):
+    """point_at as it was written before points_at_xy carried it."""
+    r = reference_focal_radius(c, alpha)
+    return Point(-c.p + r * math.cos(alpha), r * math.sin(alpha))
+
+
+def reference_parameter(p, x):
+    """_parameter as it was written before _parameters carried it."""
+    denom = 1.0 + p * x.x
+    if abs(denom) < DEGENERACY_EPS:
+        raise OnExcludedLine(f"{x} lies on the excluded line x = {-1.0 / p}")
+    try:
+        t = ((p + x.x) ** 2 + x.y**2) / denom**2
+    except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
+        raise NonFiniteParameter(f"the member through {x} has t = {t}, beyond float range")
+    return t
+
+
+def reference_equal_angles_off_focus(d, f):
+    """check_equal_angles' residuals at a point f other than the focus: a
+    directed_angle per side, with ray_angle and wrapped_diff as written
+    before their batches."""
+    out = []
+    for i in range(1, d.num_sides + 1):
+        a, b = d.vertex(i), d.vertex(i + 1)
+        ang_a = reference_ray_angle(f, a)
+        step = normalize_angle(reference_ray_angle(f, b) - ang_a)
+        out.append(abs(reference_wrapped_diff(step, d.theta)))
+    return out
 
 
 def reference_diagonals(d):
@@ -385,3 +436,130 @@ def test_pascal_steps_are_normalize_angle_and_wrapped_diff_on_edge_angles(angles
         got = check_pascal_line(d).residuals[len(index):]
     assert bits(got) == bits(tuple(reference_pascal_steps(index, angles, theta)))
 
+
+
+# ---------------------------------------------------------------------------
+# focal_radius, point_at and _parameter: batches of one, against their
+# bodies as written before
+
+
+# test_batched_kernels.py's members, and one whose p^2 overflows, so that
+# every radius is infinite and every point non-finite.
+MEMBER_POLYGONS = st.tuples(
+    st.sampled_from(MEMBER_PARAMS + [(1e156, 1e-312)]),
+    st.sampled_from([(7, 1), (12, 1), (9, 2), (240, 1)]),
+    st.floats(0.0, 2.0 * math.pi),
+).map(lambda a: (*a[0], 2.0 * math.pi * a[1][1] / a[1][0], a[2], a[1][0]))
+ALL_POLYGONS = st.one_of(POLYGONS, MEMBER_POLYGONS)
+
+
+def _angles(data):
+    """A drawn member and its polygon's angles, with a bad angle at a drawn
+    index: non-finite, 0 (asymptotic where sqrt(t) p = 1) or, on a
+    hyperbola, an asymptote."""
+    p, t, theta, phi, n = data.draw(ALL_POLYGONS)
+    c = pencil_member(p, t)
+    alphas = [phi + j * theta for j in range(n)]
+    rtp = math.sqrt(t) * p
+    bad = [None, math.inf, -math.inf, math.nan, 0.0]
+    if abs(rtp) >= 1.0:
+        bad.append(math.acos(1.0 / rtp))
+    alpha = data.draw(st.sampled_from(bad))
+    if alpha is not None:
+        alphas.insert(data.draw(st.integers(0, len(alphas))), alpha)
+    return c, alphas
+
+
+@SETTINGS
+@given(data=st.data())
+def test_focal_radii_and_focal_radius_are_the_focal_radius_as_written(data):
+    c, alphas = _angles(data)
+    want = scalar_outcome(lambda a: reference_focal_radius(c, a), alphas)
+    same_outcome(batch_outcome(lambda items: list(focal_radii(c, items)), alphas), want)
+    same_outcome(scalar_outcome(lambda a: focal_radius(c, a), alphas), want)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_points_at_xy_and_point_at_are_point_at_as_written(data):
+    c, alphas = _angles(data)
+
+    def xy(z):
+        return (z.x, z.y)
+
+    want = scalar_outcome(lambda a: xy(reference_point_at(c, a)), alphas)
+    same_outcome(batch_outcome(
+        lambda items: [xy(Point(*pair)) for pair in points_at_xy(c, items)], alphas), want)
+    same_outcome(scalar_outcome(lambda a: xy(point_at(c, a)), alphas), want)
+
+
+@SETTINGS
+@given(args=ALL_POLYGONS)
+def test_synthesize_is_point_at_as_written(args):
+    p, t, theta, phi, n = args
+    c = pencil_member(p, t)
+    want = scalar_outcome(lambda j: reference_point_at(c, phi + j * theta), range(n))
+    d, error = call_outcome(synthesize, p, t, theta, phi, n)
+    assert error == want[1]
+    if error is None:
+        assert [bits((v.x, v.y)) for v in d.vertices] == [bits((v.x, v.y)) for v in want[0]]
+
+
+def test_the_drawn_angles_reach_every_outcome():
+    hyper, extreme = pencil_member(0.5, 16.0), pencil_member(1e156, 1e-312)
+    for c, alpha, error in ((hyper, math.acos(0.5), AsymptoticDirection),
+                            (extreme, 0.0, AsymptoticDirection),
+                            (extreme, 0.3, ValueError),
+                            (hyper, math.nan, ValueError),
+                            (hyper, 0.3, None)):
+        got = call_outcome(point_at, c, alpha)[1]
+        assert got == call_outcome(reference_point_at, c, alpha)[1]
+        assert (got and got[0]) is error
+
+
+@SETTINGS
+@given(data=st.data())
+def test_parameters_and_parameter_of_are_parameter_as_written(data):
+    d = data.draw(ALL_POLYGONS.map(_synthesized).filter(lambda d: d is not None))
+    p, points = d.p, list(d.vertices)
+    bad = data.draw(st.sampled_from(["none", "focus", "off_member"]))
+    if bad != "none":
+        z = Point(-p, 0.0) if bad == "focus" else _off_member(p, data)
+        points.insert(data.draw(st.integers(0, len(points))), z)
+    want = scalar_outcome(lambda z: reference_parameter(p, z), points)
+    same_outcome(batch_outcome(lambda items: _parameters(p, items)[0], points), want)
+    same_outcome(scalar_outcome(lambda z: parameter_of(p, z), points), want)
+    same_outcome(scalar_outcome(lambda z: _parameter(p, z), points), want)
+    with patch(f"{__name__}._parameter", reference_parameter):
+        frozen = outcome(reference_focal_parameters, p, points)
+    assert outcome(focal_parameters, p, points) == frozen
+
+
+# ---------------------------------------------------------------------------
+# check_equal_angles at a point other than the focus
+
+
+@SETTINGS
+@given(data=st.data())
+def test_equal_angles_off_the_focus_is_the_directed_angle_loop(data):
+    d, points = _vertices(data)
+    i = data.draw(st.integers(0, len(points) - 1))
+    f = data.draw(st.sampled_from([
+        Point(0.1, 0.2),
+        Point(-d.p, 1e-3),
+        points[i],  # DegenerateRay at vertex i
+        Point(points[i].x + DEGENERACY_EPS / 4.0, points[i].y),  # DegenerateRay, within the eps
+    ]))
+    want = call_outcome(reference_equal_angles_off_focus, d, f)
+    got = call_outcome(lambda: list(verify.check_equal_angles(d, f).residuals))
+    assert got[1] == want[1]
+    assert want[1] is None or want[1][0] is DegenerateRay
+    if want[1] is None:
+        assert [bits(r) for r in got[0]] == [bits(r) for r in want[0]]
+
+
+def test_equal_angles_off_the_focus_reads_each_ray_angle_once():
+    d = synthesize(0.5, 1.0, 2.0 * math.pi / 24, 0.3, 24)
+    with patch.object(verify, "ray_angles", wraps=verify.ray_angles) as spy:
+        verify.check_equal_angles(d, Point(0.1, 0.2))
+    assert spy.call_count == 1 and len(spy.call_args.args[1]) == d.n + 1
