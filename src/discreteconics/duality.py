@@ -4,7 +4,8 @@ The transform exchanges points and lines: the polar of P is the line
 perpendicular to the radius through the inverse of P, and the pole of a line
 is the inverse of the foot of the perpendicular from the center.  A pencil
 member reciprocated about its focus becomes a circle, namely the inverse
-image of its pedal circle.
+image of its pedal circle.  The circle side of a member lives here too: the
+pedal circle itself, and the least-squares circle that dual_conic fits.
 """
 
 from __future__ import annotations
@@ -13,16 +14,25 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    AsymptoticDirection,
     CenterHasNoPolar,
     CenterNotFocus,
     FocusOutsideDual,
     LineThroughCenter,
+    ParabolaMember,
 )
-from .kernel import DEGENERACY_EPS, Line, Point, distance, foot_perpendicular
-from .pencil import Circle, FocalConic, _sampled_tangents, fit_circle
+from .kernel import (DEGENERACY_EPS, Line, Point, _adjugate3, _centroid, distance,
+                     foot_perpendicular, left_sum)
+from .pencil import FocalConic, classify, tangent_at
 
 _SAMPLES = 32  # tangent lines whose poles are fitted
 _FIT_TOL = 1e-9  # largest pole deviation from the fit, relative to max(1, radius)
+
+
+@dataclass(frozen=True)
+class Circle:
+    center: Point
+    radius: float
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,8 @@ class Reciprocator:
     k: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise ValueError(f"inversion radius must be finite, got {self.k!r}")
         if self.k <= 0.0:
             raise ValueError("inversion radius must be positive")
 
@@ -101,3 +113,55 @@ def dual_conic(r: Reciprocator, c: FocalConic, require_focus_inside: bool = True
     if require_focus_inside and distance(r.center, circ.center) >= circ.radius:
         raise FocusOutsideDual("focus outside the dual circle")
     return circ
+
+
+def fit_circle(points: list[Point]) -> Circle:
+    """Algebraic least-squares circle through the given points.
+
+    Solves the normal equations of x^2 + y^2 + d*x + e*y + g = 0 in
+    coordinates centred on the points' centroid, which keeps the 3x3 system
+    well conditioned far from the origin.
+    """
+    if len(points) < 3:
+        raise ValueError("need at least three points to fit a circle")
+    mx, my = _centroid(points)
+    rows = [(p.x - mx, p.y - my, 1.0) for p in points]
+    ata = [[left_sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    atb = [-left_sum(r[i] * (r[0] * r[0] + r[1] * r[1]) for r in rows) for i in range(3)]
+    adj = _adjugate3(ata)
+    det = left_sum(ata[0][k] * adj[k][0] for k in range(3))
+    if det == 0.0:
+        raise ValueError("degenerate circle fit")
+    d, e, g = (left_sum(a * b for a, b in zip(row, atb)) / det for row in adj)
+    cx, cy = -d / 2.0, -e / 2.0
+    r2 = cx * cx + cy * cy - g
+    if r2 <= 0.0:
+        raise ValueError("degenerate circle fit")
+    return Circle(Point(mx + cx, my + cy), math.sqrt(r2))
+
+
+def _sampled_tangents(c: FocalConic, count: int) -> list[tuple[float, Line]]:
+    """Tangents at evenly spread angles, nudging off asymptotic directions."""
+    out = []
+    for j in range(count):
+        alpha = 2.0 * math.pi * j / count
+        for _ in range(4):
+            try:
+                out.append((alpha, tangent_at(c, alpha)))
+                break
+            except AsymptoticDirection:
+                alpha += 1e-6
+    return out
+
+
+def pedal_circle(c: FocalConic) -> Circle:
+    """Locus of feet of perpendiculars from the focus to tangent lines.
+
+    The pedal curve of a central conic about a focus is its auxiliary
+    circle, in closed form: centred at the conic's center, with radius the
+    semi-axis on the focal axis, sqrt(t) * |1 - p^2| / |1 - t * p^2|.
+    """
+    if classify(c) == "parabola":
+        raise ParabolaMember("pedal of a parabola about its focus is a line")
+    p, t = c.p, c.t
+    return Circle(c.center, math.sqrt(t) * abs(1.0 - p * p) / abs(1.0 - t * p * p))

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .errors import AngleOutOfRange, NonpositiveT, ParallelLines
 from .kernel import Line, finite_xy, intersections_xy, line_coefficients_xy
-from .pencil import Circle, points_at_xy, tangency_residuals, tangent_coefficients
+from .pencil import points_at_xy, tangency_residuals, tangent_coefficients
 from .polygon import DiscreteConic, synthesize
+
+if TYPE_CHECKING:  # act_on_circle imports duality when it runs
+    from .duality import Circle
 
 _CORRESPONDENCE_TOL = 1e-9  # largest relative vertex distance act_on_discrete accepts
 
@@ -26,6 +30,8 @@ class GroupElement:
     s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"group scale must be finite, got {self.s!r}")
         if self.s <= 0.0:
             raise ValueError("group scale must be positive")
 
@@ -69,6 +75,8 @@ def act_on_parameter(e: GroupElement, t: float) -> float:
 
 def act_on_circle(e: GroupElement, c: Circle) -> Circle:
     """On circles the action scales the radius about the center."""
+    from .duality import Circle
+
     return Circle(c.center, c.radius * e.s)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _forwarder
 from .errors import (
     CoincidentPoints,
     DegenerateConfiguration,
@@ -17,6 +18,10 @@ from .errors import (
     ParallelLines,
     PointAtInfinity,
 )
+
+# The four-point fit lives in reference; these names import from here too.
+__getattr__ = _forwarder(globals(), dict.fromkeys(
+    ("projective_from_correspondences", "_matmul3", "_projective_basis"), "reference"))
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,59 +303,6 @@ def _adjugate3(m) -> tuple[tuple[float, float, float], ...]:
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
-
-
-def _matmul3(x, y) -> tuple[tuple[float, float, float], ...]:
-    cols = tuple(zip(*y))
-    return tuple(tuple(left_sum(u * v for u, v in zip(row, col)) for col in cols) for row in x)
-
-
-def _any_three_collinear(points: list[Point]) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            for k in range(j + 1, len(points)):
-                if _triangle_area_residual(points[i], points[j], points[k]) < 1e-9:
-                    return True
-    return False
-
-
-def _hartley(points: list[Point]) -> tuple[list[tuple[float, float]], float, float, float]:
-    """The points moved so that their centroid (cx, cy) is the origin and
-    their mean distance from it is sqrt(2): s * (p - c), with the scale s."""
-    cx, cy = _centroid(points)
-    s = math.sqrt(2.0) * len(points) / left_sum(math.hypot(p.x - cx, p.y - cy) for p in points)
-    return [(s * (p.x - cx), s * (p.y - cy)) for p in points], s, cx, cy
-
-
-def _projective_basis(xy: list[tuple[float, float]]) -> tuple[tuple[float, float, float], ...]:
-    """Matrix sending the standard projective basis to the four points: its
-    columns are lambda_k * (x_k, y_k, 1), k = 1..3, and sum to (x_4, y_4, 1)."""
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = xy
-    p = ((x1, x2, x3), (y1, y2, y3), (1.0, 1.0, 1.0))
-    lam = [u * x4 + v * y4 + w for u, v, w in _adjugate3(p)]  # det(p) * p^-1 (x4, y4, 1)
-    return tuple((a * lam[0], b * lam[1], c * lam[2]) for a, b, c in p)
-
-
-def projective_from_correspondences(src: list[Point], dst: list[Point]) -> ProjectiveMap:
-    """Unique homography sending four source points to four destination points.
-
-    With A and B the projective-basis matrices of the source and destination
-    points, the map is B * adj(A).  Both point sets are Hartley-normalized
-    first (matrices T_s and T_d) and the map is T_d^-1 * B * adj(A) * T_s;
-    unnormalized, the rounding of the basis matrices grows with the spread
-    of the coordinates and breaks the 1e-6 projective-regularity floor on
-    polygons of several hundred vertices.
-    """
-    if len(src) != 4 or len(dst) != 4:
-        raise ValueError("exactly four correspondences required")
-    if _any_three_collinear(src) or _any_three_collinear(dst):
-        raise DegenerateConfiguration("three of the four points are collinear")
-    src_xy, ss, sx, sy = _hartley(src)
-    dst_xy, ds, dx, dy = _hartley(dst)
-    t_src = ((ss, 0.0, -ss * sx), (0.0, ss, -ss * sy), (0.0, 0.0, 1.0))
-    t_dst_inv = ((1.0 / ds, 0.0, dx), (0.0, 1.0 / ds, dy), (0.0, 0.0, 1.0))
-    h = _matmul3(_projective_basis(dst_xy), _adjugate3(_projective_basis(src_xy)))
-    return ProjectiveMap(_matmul3(t_dst_inv, _matmul3(h, t_src)))
 
 
 def map_xy(m: ProjectiveMap, x: float, y: float) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _forwarder
 from .errors import (
     AsymptoticDirection,
     DegenerateP,
@@ -29,35 +30,17 @@ from .errors import (
     OnExcludedLine,
     ParabolaMember,
 )
-from .kernel import (DEGENERACY_EPS, Line, Point, _adjugate3, _centroid, checked_coefficients,
-                     left_sum)
+from .kernel import DEGENERACY_EPS, Line, Point, checked_coefficients
+
+# The circle side of a member lives in duality and the quadratic form in
+# reference; these names import from here too.
+__getattr__ = _forwarder(globals(), {
+    **dict.fromkeys(("Circle", "fit_circle", "_sampled_tangents", "pedal_circle"), "duality"),
+    **dict.fromkeys(("QuadraticForm", "quadratic_form"), "reference"),
+})
 
 # Half-width of the |eccentricity| = 1 band treated as a parabola.
 _CLASSIFY_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: float
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Implicit conic A x^2 + B xy + C y^2 + D x + E y + G = 0."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
-    G: float
-
-    def residual_at(self, p: Point) -> float:
-        """|value| normalized by the size of the evaluated terms."""
-        x, y = p.x, p.y
-        terms = (self.A * x * x, self.B * x * y, self.C * y * y, self.D * x, self.E * y, self.G)
-        return abs(left_sum(terms)) / max(left_sum(map(abs, terms)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -213,18 +196,6 @@ def focal_parameters(p: float, points) -> tuple[list[float], list[float]]:
     return ts, alphas
 
 
-def quadratic_form(c: FocalConic) -> QuadraticForm:
-    p, t = c.p, c.t
-    return QuadraticForm(
-        A=1.0 - t * p * p,
-        B=0.0,
-        C=1.0,
-        D=2.0 * p * (1.0 - t),
-        E=0.0,
-        G=p * p - t,
-    )
-
-
 def tangent_at(c: FocalConic, alpha: float) -> Line:
     """Tangent line at point_at(c, alpha), from the implicit gradient."""
     pt = point_at(c, alpha)
@@ -274,65 +245,15 @@ def tangency_residuals(c: FocalConic, lines) -> list[float]:
 def normalized_adjugate(c: FocalConic) -> tuple[tuple[float, float, float], ...]:
     """adj(M) of the member's conic matrix M, scaled to unit max-abs entry.
 
-    A pencil member has M = [[A, 0, D/2], [0, 1, 0], [D/2, 0, G]], so
-    adj(M) = [[G, 0, -D/2], [0, A*G - D^2/4, 0], [-D/2, 0, A]] in closed
+    A pencil member has M = [[A, 0, D/2], [0, 1, 0], [D/2, 0, G]], with
+    A = 1 - t*p^2, D = 2*p*(1 - t) and G = p^2 - t (reference.quadratic_form),
+    so adj(M) = [[G, 0, -D/2], [0, A*G - D^2/4, 0], [-D/2, 0, A]] in closed
     form.  Its middle entry is det(M) = -t*(1 - p^2)^2, nonzero on every
     member, so the scale never vanishes.
     """
-    q = quadratic_form(c)
-    h = q.D / 2.0
-    adj = ((q.G, 0.0, -h), (0.0, q.A * q.G - h * h, 0.0), (-h, 0.0, q.A))
+    p, t = c.p, c.t
+    a, g = 1.0 - t * p * p, p * p - t
+    h = 2.0 * p * (1.0 - t) / 2.0  # D halved, so it overflows where D does
+    adj = ((g, 0.0, -h), (0.0, a * g - h * h, 0.0), (-h, 0.0, a))
     scale = max(abs(v) for row in adj for v in row)
     return tuple(tuple(v / scale for v in row) for row in adj)
-
-
-def fit_circle(points: list[Point]) -> Circle:
-    """Algebraic least-squares circle through the given points.
-
-    Solves the normal equations of x^2 + y^2 + d*x + e*y + g = 0 in
-    coordinates centred on the points' centroid, which keeps the 3x3 system
-    well conditioned far from the origin.
-    """
-    if len(points) < 3:
-        raise ValueError("need at least three points to fit a circle")
-    mx, my = _centroid(points)
-    rows = [(p.x - mx, p.y - my, 1.0) for p in points]
-    ata = [[left_sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
-    atb = [-left_sum(r[i] * (r[0] * r[0] + r[1] * r[1]) for r in rows) for i in range(3)]
-    adj = _adjugate3(ata)
-    det = left_sum(ata[0][k] * adj[k][0] for k in range(3))
-    if det == 0.0:
-        raise ValueError("degenerate circle fit")
-    d, e, g = (left_sum(a * b for a, b in zip(row, atb)) / det for row in adj)
-    cx, cy = -d / 2.0, -e / 2.0
-    r2 = cx * cx + cy * cy - g
-    if r2 <= 0.0:
-        raise ValueError("degenerate circle fit")
-    return Circle(Point(mx + cx, my + cy), math.sqrt(r2))
-
-
-def _sampled_tangents(c: FocalConic, count: int) -> list[tuple[float, Line]]:
-    """Tangents at evenly spread angles, nudging off asymptotic directions."""
-    out = []
-    for j in range(count):
-        alpha = 2.0 * math.pi * j / count
-        for _ in range(4):
-            try:
-                out.append((alpha, tangent_at(c, alpha)))
-                break
-            except AsymptoticDirection:
-                alpha += 1e-6
-    return out
-
-
-def pedal_circle(c: FocalConic) -> Circle:
-    """Locus of feet of perpendiculars from the focus to tangent lines.
-
-    The pedal curve of a central conic about a focus is its auxiliary
-    circle, in closed form: centred at the conic's center, with radius the
-    semi-axis on the focal axis, sqrt(t) * |1 - p^2| / |1 - t * p^2|.
-    """
-    if classify(c) == "parabola":
-        raise ParabolaMember("pedal of a parabola about its focus is a line")
-    p, t = c.p, c.t
-    return Circle(c.center, math.sqrt(t) * abs(1.0 - p * p) / abs(1.0 - t * p * p))

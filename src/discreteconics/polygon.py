@@ -4,7 +4,8 @@ Three construction routes are provided:
 
 * synthesize      -- sample the focal polar form at equally spaced angles;
 * closed_form     -- evaluate the rational closed-form vertex expression,
-                     which lands on the t = 1 member;
+                     which lands on the t = 1 member (in reference, where
+                     tests and the benchmark use it as an oracle);
 * negative_pedal  -- intersect consecutive perpendiculars erected on a unit
                      circle, which lands on the t = sec^2(theta/2) member.
 
@@ -18,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (AllOppositeSidesParallel, AngleOutOfRange, FormulaPole, GeometryError,
-                     NotClosed, OnExcludedLine, ParallelLines)
+from . import _forwarder
+from .errors import (AllOppositeSidesParallel, AngleOutOfRange, GeometryError, NotClosed,
+                     OnExcludedLine, ParallelLines)
 from .kernel import (
     TWO_PI,
     Line,
@@ -31,6 +33,9 @@ from .kernel import (
     points_xy,
 )
 from .pencil import FocalConic, check_p, focal_parameter, pencil_member, point_at, points_at_xy
+
+# The closed form lives in reference; it imports from here too.
+__getattr__ = _forwarder(globals(), {"closed_form_vertices": "reference"})
 
 _CLOSURE_EPS = 1e-9
 
@@ -183,29 +188,6 @@ def _synthesized_xy(p: float, t: float, theta: float, phi: float, n: int):
     pairs in angle order, so a caller meets the errors synthesize raises."""
     _check_theta_n(p, theta, n, phi)
     return points_at_xy(pencil_member(p, t), [phi + j * theta for j in range(n)])
-
-
-def closed_form_vertices(p: float, theta: float, phi: float, n: int) -> DiscreteConic:
-    """Rational closed form for a discrete conic on the t = 1 member.
-
-    V_j = ((p - cos psi) / (p cos psi - 1), (p^2 - 1) sin psi / (p cos psi - 1))
-    with psi = (j-1)*theta + phi.  The focal direction of V_j from (-p, 0) is
-    exactly (cos psi, sin psi), so the equal-angle property holds by algebra.
-    """
-    _check_theta_n(p, theta, n, phi)
-    verts = []
-    for j in range(n):
-        psi = j * theta + phi
-        denom = p * math.cos(psi) - 1.0
-        if abs(denom) < 1e-12:
-            raise FormulaPole(f"denominator vanishes at vertex {j + 1}")
-        verts.append(
-            Point(
-                (p - math.cos(psi)) / denom,
-                (p * p - 1.0) * math.sin(psi) / denom,
-            )
-        )
-    return DiscreteConic(float(p), 1.0, theta, phi, tuple(verts))
 
 
 @dataclass(frozen=True)
